@@ -17,12 +17,46 @@ from .specfun import Tolerance, find_root, integrate, numeric_diff
 _LOG_TOL = Tolerance(abs_tol=1e-13, rel_tol=1e-13)
 
 
-def validation_grid(x_upper: float = math.inf) -> np.ndarray:
-    """Log-spaced grid on (1e-6, min(1e3, x_upper)), avoiding x = 1 where
-    some generators (stretched exponentials) vanish."""
+class ScalarOps:
+    """Closed forms are written once, as f(x, m=ScalarOps): ``m`` supplies
+    the elementary functions, these ``math`` ones (fast on a float) by
+    default and numpy itself when a vectorized Deformation evaluates f on an
+    ndarray.  Used as the class itself: its attributes are found faster
+    than an instance's on this per-call path."""
+    log = math.log
+    exp = math.exp
+    copysign = math.copysign
+    maximum = max
+    any = bool
+
+
+# The scalar-or-array test runs on every scalar log/exp/phi call, inside
+# quadrature integrands: a float skips the isinstance call, and the
+# module-level name saves an attribute lookup.
+_NDARRAY = np.ndarray
+
+
+def _grid(x_upper: float) -> np.ndarray:
     hi = min(1e3, x_upper * (1.0 - 1e-4)) if math.isfinite(x_upper) else 1e3
     pts = np.geomspace(1e-6, hi, 25)
     return pts[np.abs(pts - 1.0) > 1e-9]
+
+
+_GRID_UNBOUNDED = _grid(math.inf)
+_GRID_UNBOUNDED.setflags(write=False)
+
+
+def validation_grid(x_upper: float = math.inf) -> np.ndarray:
+    """Log-spaced grid on (1e-6, min(1e3, x_upper)), avoiding x = 1 where
+    some generators (stretched exponentials) vanish.  Read-only."""
+    if not math.isfinite(x_upper):
+        return _GRID_UNBOUNDED
+    return _grid(x_upper)
+
+
+def _elementwise(f, x: np.ndarray) -> np.ndarray:
+    """A scalar function applied to every element of x, one call each."""
+    return np.array([f(float(v)) for v in x.flat]).reshape(x.shape)
 
 
 class ProbVec:
@@ -70,31 +104,41 @@ class Deformation:
     the cutoff convention (0 below the lower range limit).  Closed forms are
     used when supplied, otherwise quadrature / monotone inversion backed by
     a write-once anchor cache.  Immutable after construction.
+
+    ``phi``, ``phi_prime``, ``log`` and ``exp`` take a scalar (and return a
+    float) or an ndarray (and return a new array of its shape).  With
+    ``vectorized=True`` the supplied forms follow the f(x, m=ScalarOps)
+    convention, return a new array for an array x, and an array costs one
+    numpy evaluation; otherwise arrays are evaluated element by element
+    through the scalar path.
     """
 
     def __init__(self, name, phi, phi_prime, params=(),
                  log_closed=None, exp_closed=None,
                  log_lower_limit=-math.inf, log_upper_limit=math.inf,
-                 x_upper=math.inf, log_int0=None, validate=True):
+                 x_upper=math.inf, log_int0=None, validate=True,
+                 vectorized=False):
         self.name = name
         self.params = tuple(params)
-        self.phi = phi
-        self.phi_prime = phi_prime
+        self._phi = phi
+        self._phi_prime = phi_prime
         self.log_closed = log_closed
         self.exp_closed = exp_closed
         self.log_lower_limit = float(log_lower_limit)
         self.log_upper_limit = float(log_upper_limit)
         self.x_upper = float(x_upper)
         self.log_int0 = log_int0
+        self.vectorized = vectorized
 
         self._anchor_x = None
         self._anchor_v = None
+        grid = validation_grid(self.x_upper) if validate else None
         if validate:
-            self._validate_positivity()
+            self._validate_positivity(grid)
         if log_closed is None:
             self._build_anchors()
         if validate:
-            self._validate()
+            self._validate(grid)
 
     # -- construction helpers -------------------------------------------
 
@@ -110,13 +154,13 @@ class Deformation:
         i1 = xs.index(1.0)
         acc = 0.0
         for i in range(i1, len(xs) - 1):
-            acc += integrate(lambda y: 1.0 / self.phi(y), xs[i], xs[i + 1], _LOG_TOL)
+            acc += integrate(lambda y: 1.0 / self._phi(y), xs[i], xs[i + 1], _LOG_TOL)
             vals[xs[i + 1]] = acc
         acc = 0.0
         lo_stop = 0
         for i in range(i1, 0, -1):
             try:
-                seg = integrate(lambda y: 1.0 / self.phi(y),
+                seg = integrate(lambda y: 1.0 / self._phi(y),
                                 xs[i - 1], xs[i], _LOG_TOL)
             except (ZeroDivisionError, OverflowError):
                 # generator underflows below this anchor; the log is
@@ -129,16 +173,16 @@ class Deformation:
         self._anchor_x = xs
         self._anchor_v = [vals[x] for x in xs]
 
-    def _validate_positivity(self):
-        grid = validation_grid(self.x_upper)
-        phis = np.array([self.phi(x) for x in grid])
+    def _validate_positivity(self, grid):
+        with np.errstate(all="ignore"):
+            phis = self.phi(grid)
         if np.any(~np.isfinite(phis)) or np.any(phis <= 0.0):
             bad = grid[~(np.isfinite(phis) & (phis > 0.0))][0]
             raise DomainError(f"{self.name}: generator not positive at x={bad}")
 
-    def _validate(self):
-        grid = validation_grid(self.x_upper)
-        dphis = np.array([self.phi_prime(x) for x in grid])
+    def _validate(self, grid):
+        with np.errstate(all="ignore"):
+            dphis = self.phi_prime(grid)
         if np.any(dphis <= 0.0):
             warnings.warn(f"{self.name}: generator not increasing everywhere "
                           "on the validation grid", stacklevel=3)
@@ -152,14 +196,35 @@ class Deformation:
                     continue
                 h = 1e-6 * x
                 d = (self.log_closed(x + h) - self.log_closed(x - h)) / (2.0 * h)
-                ref = 1.0 / self.phi(x)
+                ref = 1.0 / self._phi(x)
                 if abs(d - ref) > 1e-6 * max(abs(ref), 1.0):
                     raise DomainError(
                         f"{self.name}: log' != 1/phi at x={x} ({d} vs {ref})")
 
     # -- evaluation ------------------------------------------------------
 
-    def log(self, x: float) -> float:
+    def _map(self, f, x: np.ndarray) -> np.ndarray:
+        """f at every element of x: one numpy call for vectorized forms,
+        otherwise a loop over the scalar path."""
+        if self.vectorized:
+            return f(x, np)
+        return _elementwise(f, x)
+
+    def phi(self, x):
+        """The generator phi(x)."""
+        if x.__class__ is not float and isinstance(x, _NDARRAY):
+            return self._map(self._phi, x)
+        return self._phi(x)
+
+    def phi_prime(self, x):
+        """The generator's derivative phi'(x)."""
+        if x.__class__ is not float and isinstance(x, _NDARRAY):
+            return self._map(self._phi_prime, x)
+        return self._phi_prime(x)
+
+    def log(self, x):
+        if x.__class__ is not float and isinstance(x, _NDARRAY):
+            return self._log_array(x)
         if not (x > 0.0):
             raise DomainError(f"log_phi requires x > 0 (got {x})")
         if x >= self.x_upper:
@@ -170,9 +235,22 @@ class Deformation:
         xs, vs = self._anchor_x, self._anchor_v
         i = bisect.bisect_right(xs, x) - 1
         i = max(0, min(i, len(xs) - 1))
-        return vs[i] + integrate(lambda y: 1.0 / self.phi(y), xs[i], x, _LOG_TOL)
+        return vs[i] + integrate(lambda y: 1.0 / self._phi(y), xs[i], x, _LOG_TOL)
 
-    def exp(self, y: float) -> float:
+    def _log_array(self, x):
+        x = np.asarray(x, dtype=float)
+        if not np.all(x > 0.0):
+            raise DomainError(f"log_phi requires x > 0 (got {x[~(x > 0.0)][0]})")
+        if np.any(x >= self.x_upper):
+            raise DomainError(
+                f"{self.name}: log_phi undefined for x >= {self.x_upper}")
+        if self.log_closed is not None:
+            return self._map(self.log_closed, x)
+        return _elementwise(self.log, x)
+
+    def exp(self, y):
+        if y.__class__ is not float and isinstance(y, _NDARRAY):
+            return self._exp_array(y)
         if math.isnan(y):
             raise DomainError("exp_phi: NaN input")
         if y >= self.log_upper_limit:
@@ -185,12 +263,30 @@ class Deformation:
             return self.exp_closed(y)
         return self._invert_log(y)
 
+    def _exp_array(self, y):
+        y = np.asarray(y, dtype=float)
+        if np.isnan(y).any():
+            raise DomainError("exp_phi: NaN input")
+        top = y.max(initial=-math.inf)
+        if top >= self.log_upper_limit:
+            raise RangeError(
+                f"{self.name}: exp_phi argument {top} at or above the upper "
+                f"range limit {self.log_upper_limit}")
+        out = np.zeros(y.shape)
+        live = y > self.log_lower_limit
+        if self.exp_closed is not None:
+            with np.errstate(over="ignore"):  # the bracket search may overflow
+                out[live] = self._map(self.exp_closed, y[live])
+        else:
+            out[live] = _elementwise(self._invert_log, y[live])
+        return out
+
     def _invert_log(self, y):
         if self.log_closed is None:
             xs, vs = self._anchor_x, self._anchor_v
         else:
-            xs = list(validation_grid(self.x_upper))
-            vs = [self.log_closed(x) for x in xs]
+            xs = validation_grid(self.x_upper).tolist()
+            vs = self.log(np.array(xs)).tolist()
         i = bisect.bisect_left(vs, y)
         if 0 < i < len(vs):
             lo, hi = xs[i - 1], xs[i]
@@ -214,31 +310,27 @@ class Deformation:
 
 
 # ---------------------------------------------------------------------------
-# Module-level operations (thin wrappers keep call sites uniform)
-
-def log_phi(d: Deformation, x: float) -> float:
-    return d.log(x)
-
-
-def exp_phi(d: Deformation, x: float) -> float:
-    return d.exp(x)
-
+# Module-level operations
 
 def _phi_values(d: Deformation, p: ProbVec) -> np.ndarray:
-    vals = []
-    for pi in p.probs:
-        if pi == 0.0:
-            try:
-                v = d.phi(0.0)
-            except (ValueError, ZeroDivisionError, OverflowError):
-                v = math.nan
-            if not math.isfinite(v):
-                raise BoundaryError(
-                    f"{d.name}: generator undefined at a zero probability")
-            vals.append(v)
-        else:
-            vals.append(d.phi(pi))
-    return np.array(vals)
+    """phi at every entry of p: one array call on the positive entries, the
+    scalar generator at 0 for the zeros (BoundaryError where undefined)."""
+    if p.interior:
+        return d.phi(p.probs)
+    live = p.probs > 0.0
+    vals = np.empty(p.n)
+    vals[live] = d.phi(p.probs[live])
+    if live.all():
+        return vals
+    try:
+        v0 = d.phi(0.0)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        v0 = math.nan
+    if not math.isfinite(v0):
+        raise BoundaryError(
+            f"{d.name}: generator undefined at a zero probability")
+    vals[~live] = v0
+    return vals
 
 
 def h_phi(d: Deformation, p: ProbVec) -> float:
@@ -257,7 +349,7 @@ def chi_dual(d: Deformation) -> Deformation:
     metric is conformal to the escort-constraint metric of the original."""
 
     def chi(x):
-        return d.phi(x) / d.phi_prime(x)
+        return d._phi(x) / d._phi_prime(x)
 
     def chi_prime(x):
         return numeric_diff(lambda v: chi(v[0]), [x], "gradient")
@@ -285,7 +377,7 @@ def exp_of_log(d: Deformation) -> Deformation:
         return math.exp(d.log(x))
 
     def xi_prime(x):
-        return xi(x) / d.phi(x)
+        return xi(x) / d._phi(x)
 
     def inv_xi(y):
         # clamp: values beyond exp(700) only occur when the limit integral
@@ -359,11 +451,11 @@ def ts_dual(d: Deformation, nu: float) -> Deformation:
         return L / denom
 
     def phi_ts(x):
-        return d.phi(x) * (1.0 + nu * d.log(x)) ** 2
+        return d._phi(x) * (1.0 + nu * d.log(x)) ** 2
 
     def phi_ts_prime(x):
         b = 1.0 + nu * d.log(x)
-        return d.phi_prime(x) * b * b + 2.0 * nu * b
+        return d._phi_prime(x) * b * b + 2.0 * nu * b
 
     exp_ts = None
     if d.exp_closed is not None or d.log_closed is not None:

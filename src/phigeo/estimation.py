@@ -13,7 +13,7 @@ import numpy as np
 from .deform import ProbVec, escort, exp_of_log, h_phi
 from .errors import BoundaryError, DomainError
 from .geometry import DualityReport, MetricMatrix, metric_amari, metric_naudts, _report
-from .maxent import PhiExpFamily, eta_coords, normalize
+from .maxent import PhiExpFamily, normalize, pmf_jacobian
 from .specfun import GRAD_STEP
 
 
@@ -52,9 +52,7 @@ def dp_dtheta(fam: PhiExpFamily) -> np.ndarray:
     normalizer has gradient -eta gives this form; every column sums to 0.
     """
     _require_interior(fam.pmf, "dp_dtheta")
-    eta = eta_coords(fam)
-    phis = np.array([fam.d.phi(pj) for pj in fam.pmf.probs])
-    return phis[:, None] * (fam.E.E - eta[None, :])
+    return pmf_jacobian(fam.E.E, fam.d.phi(fam.pmf.probs))
 
 
 def fisher_general(fam: PhiExpFamily, P: ProbVec) -> MetricMatrix:

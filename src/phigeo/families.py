@@ -7,7 +7,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .deform import Deformation
+import numpy as np
+
+from .deform import Deformation, ScalarOps
 from .errors import BranchError, DomainError, RangeError
 from .specfun import Tolerance, integrate, lambert_w, upper_gamma
 
@@ -16,13 +18,14 @@ def identity() -> Deformation:
     """phi(x) = x: the ordinary logarithm/exponential (Shannon case)."""
     return Deformation(
         "identity",
-        phi=lambda x: x,
-        phi_prime=lambda x: 1.0,
-        log_closed=math.log,
-        exp_closed=math.exp,
+        phi=lambda x, m=ScalarOps: x ** 1.0,
+        phi_prime=lambda x, m=ScalarOps: x ** 0.0,
+        log_closed=lambda x, m=ScalarOps: m.log(x),
+        exp_closed=lambda y, m=ScalarOps: m.exp(y),
         log_lower_limit=-math.inf,
         log_upper_limit=math.inf,
         log_int0=lambda x: x * math.log(x) - x if x > 0.0 else 0.0,
+        vectorized=True,
     )
 
 
@@ -34,14 +37,11 @@ def tsallis(q: float) -> Deformation:
         raise DomainError("tsallis: generator x^q requires q > 0")
     one_q = 1.0 - q
 
-    def log_q(x):
+    def log_q(x, m=ScalarOps):
         return (x ** one_q - 1.0) / one_q
 
-    def exp_q(y):
-        base = 1.0 + one_q * y
-        if base <= 0.0:
-            return 0.0
-        return base ** (1.0 / one_q)
+    def exp_q(y, m=ScalarOps):
+        return m.maximum(1.0 + one_q * y, 0.0) ** (1.0 / one_q)
 
     if q < 1.0:
         lower, upper = -1.0 / one_q, math.inf
@@ -55,11 +55,11 @@ def tsallis(q: float) -> Deformation:
 
     return Deformation(
         f"tsallis(q={q:g})", params=(q,),
-        phi=lambda x: x ** q,
-        phi_prime=lambda x: q * x ** (q - 1.0),
+        phi=lambda x, m=ScalarOps: x ** q,
+        phi_prime=lambda x, m=ScalarOps: q * x ** (q - 1.0),
         log_closed=log_q, exp_closed=exp_q,
         log_lower_limit=lower, log_upper_limit=upper,
-        log_int0=log_int0,
+        log_int0=log_int0, vectorized=True,
     )
 
 
@@ -74,23 +74,20 @@ def stretched(eta: float) -> Deformation:
         raise DomainError("stretched: requires eta > 0, eta != 1")
     inv = 1.0 / eta
 
-    def log_s(x):
-        u = math.log(x)
-        if u == 0.0:
-            return 0.0
-        return math.copysign(abs(u) ** inv, u)
+    def log_s(x, m=ScalarOps):
+        u = m.log(x)
+        return m.copysign(abs(u) ** inv, u)
 
-    def exp_s(y):
-        return math.exp(math.copysign(abs(y) ** eta, y))
+    def exp_s(y, m=ScalarOps):
+        return m.exp(m.copysign(abs(y) ** eta, y))
 
-    def phi_s(x):
-        u = math.log(x)
-        return eta * x * abs(u) ** (1.0 - inv)
+    def phi_s(x, m=ScalarOps):
+        return eta * x * abs(m.log(x)) ** (1.0 - inv)
 
-    def phi_s_prime(x):
-        u = math.log(x)
+    def phi_s_prime(x, m=ScalarOps):
+        u = m.log(x)
         return (eta * abs(u) ** (1.0 - inv)
-                + (eta - 1.0) * math.copysign(abs(u) ** (-inv), u))
+                + (eta - 1.0) * m.copysign(abs(u) ** (-inv), u))
 
     g_total = math.gamma(1.0 + inv)
 
@@ -107,7 +104,7 @@ def stretched(eta: float) -> Deformation:
         phi=phi_s, phi_prime=phi_s_prime,
         log_closed=log_s, exp_closed=exp_s,
         log_lower_limit=-math.inf, log_upper_limit=math.inf,
-        log_int0=log_int0,
+        log_int0=log_int0, vectorized=True,
     )
 
 
@@ -176,26 +173,36 @@ def cd_params(c: float, d: float, r: float | None = None) -> CdParams:
     return CdParams(c=c, d=d, r=r, A=A, B=B, branch=branch)
 
 
-def cd_exp_closed(params: CdParams, x: float,
-                  w_branch: str | None = None) -> float:
+def cd_exp_closed(params: CdParams, x, w_branch: str | None = None,
+                  w_b: float | None = None):
     """Lambert-W closed form of the (c,d)-exponential (generic branch).
 
     exp(-(d/(1-c)) * [W(B*(1-x/r)^(1/d)) - W(B)]), with the W branch chosen
-    principal for B >= 0 and by round-trip probing otherwise.
+    principal for B >= 0 unless given, and W(B) computed unless given.
+    Takes a scalar or an ndarray; an element whose W argument lies off the
+    branch comes out NaN.
     """
     if params.branch != "generic":
         raise BranchError(f"cd_exp_closed: branch {params.branch} has no "
                           "Lambert-W form")
     c, d, r, B = params.c, params.d, params.r, params.B
-    base = 1.0 - x / r
-    if base < 0.0:
+    base = 1.0 - np.asarray(x, dtype=float) / r
+    if np.any(base < 0.0):
         raise RangeError(f"cd_exp_closed: argument {x} beyond the range limit {r}")
     if w_branch is None:
         w_branch = "principal" if B >= 0.0 else "lower"
-    arg = B * base ** (1.0 / d)
-    w = lambert_w(w_branch, arg)
-    wb = lambert_w(w_branch, B)
-    return math.exp(-(d / (1.0 - c)) * (w - wb))
+    if w_b is None:
+        w_b = lambert_w(w_branch, B)
+    with np.errstate(all="ignore"):
+        arg = B * base ** (1.0 / d)
+        on_branch = arg >= -1.0 / math.e
+        if w_branch == "lower":
+            on_branch &= arg < 0.0
+        w = np.full(arg.shape, np.nan)
+        if on_branch.any():
+            w[on_branch] = lambert_w(w_branch, arg[on_branch])
+        out = np.exp(-(d / (1.0 - c)) * (w - w_b))
+    return float(out) if out.ndim == 0 else out
 
 
 def cd_family(c: float, d: float, r: float | None = None) -> Deformation:
@@ -222,21 +229,19 @@ def cd_family(c: float, d: float, r: float | None = None) -> Deformation:
         if scale <= 0.0:
             raise DomainError(f"cd_family: d=0 branch needs c < 1 (got c={c})")
 
-        def log_cd(x):
+        def log_cd(x, m=ScalarOps):
             return r * (1.0 - x ** (c - 1.0))
 
-        def exp_cd(y):
-            base = 1.0 - y / r
-            if base <= 0.0:
-                return math.inf  # only reachable at the range limit
-            return base ** (1.0 / (c - 1.0))
+        def exp_cd(y, m=ScalarOps):
+            # the base reaches 0 only at the range limit y = r
+            return (1.0 - y / r) ** (1.0 / (c - 1.0))
 
         return Deformation(
             f"cd(c={c:g}, d=0, r={r:g})", params=(c, d, r),
-            phi=lambda x: x ** (2.0 - c) / scale,
-            phi_prime=lambda x: (2.0 - c) * x ** (1.0 - c) / scale,
+            phi=lambda x, m=ScalarOps: x ** (2.0 - c) / scale,
+            phi_prime=lambda x, m=ScalarOps: (2.0 - c) * x ** (1.0 - c) / scale,
             log_closed=log_cd, exp_closed=exp_cd,
-            log_lower_limit=-math.inf, log_upper_limit=r,
+            log_lower_limit=-math.inf, log_upper_limit=r, vectorized=True,
         )
 
     if params.branch == "c_one":
@@ -245,36 +250,34 @@ def cd_family(c: float, d: float, r: float | None = None) -> Deformation:
                               "deformed logarithm")
         dr = d * r
 
-        def log_cd(x):
-            return r - r * (1.0 - math.log(x) / dr) ** d
+        def log_cd(x, m=ScalarOps):
+            return r - r * (1.0 - m.log(x) / dr) ** d
 
-        def phi_cd(x):
-            return x * (1.0 - math.log(x) / dr) ** (1.0 - d)
+        def phi_cd(x, m=ScalarOps):
+            return x * (1.0 - m.log(x) / dr) ** (1.0 - d)
 
-        def phi_cd_prime(x):
-            u = 1.0 - math.log(x) / dr
+        def phi_cd_prime(x, m=ScalarOps):
+            u = 1.0 - m.log(x) / dr
             return u ** (1.0 - d) + (d - 1.0) / dr * u ** (-d)
 
-        def exp_cd(y):
-            base = 1.0 - y / r
-            if base <= 0.0:
-                return math.inf
-            return math.exp(dr * (1.0 - base ** (1.0 / d)))
+        def exp_cd(y, m=ScalarOps):
+            # the base reaches 0 only at the range limit y = r
+            return m.exp(dr * (1.0 - (1.0 - y / r) ** (1.0 / d)))
 
         return Deformation(
             f"cd(c=1, d={d:g}, r={r:g})", params=(c, d, r),
             phi=phi_cd, phi_prime=phi_cd_prime,
             log_closed=log_cd, exp_closed=exp_cd,
             log_lower_limit=-math.inf, log_upper_limit=r,
-            x_upper=math.exp(dr),
+            x_upper=math.exp(dr), vectorized=True,
         )
 
     # generic branch
     k = 1.0 - (1.0 - c) * r
     a = k / (d * r)
 
-    def bracket(x):
-        return 1.0 - a * math.log(x)
+    def bracket(x, m=ScalarOps):
+        return 1.0 - a * m.log(x)
 
     # Working-range check: the bracket must stay positive on (0, 1].
     if bracket(1e-9) <= 0.0 or bracket(1.0) <= 0.0:
@@ -295,55 +298,59 @@ def cd_family(c: float, d: float, r: float | None = None) -> Deformation:
     if u_min > 0.0 and math.isfinite(x_upper):
         log_upper = r - r * x_upper ** (c - 1.0) * u_min ** d
 
-    def log_cd(x):
-        u = bracket(x)
-        if u <= 0.0:
+    def log_cd(x, m=ScalarOps):
+        u = 1.0 - a * m.log(x)
+        # with a > 0, u > u_min >= 0 for every x below x_upper
+        if a < 0.0 and m.any(u <= 0.0):
             raise DomainError(f"cd_family: bracket nonpositive at x={x}")
         return r - r * x ** (c - 1.0) * u ** d
 
-    def phi_cd(x):
-        u = bracket(x)
+    def phi_cd(x, m=ScalarOps):
+        u = bracket(x, m)
         v = (1.0 - c) * u + a * d
         return x ** (2.0 - c) * u ** (1.0 - d) / (r * v)
 
-    def phi_cd_prime(x):
-        u = bracket(x)
+    def phi_cd_prime(x, m=ScalarOps):
+        u = bracket(x, m)
         v = (1.0 - c) * u + a * d
-        return phi_cd(x) * ((2.0 - c) - (1.0 - d) * a / u
-                            + (1.0 - c) * a / v) / x
+        return phi_cd(x, m) * ((2.0 - c) - (1.0 - d) * a / u
+                               + (1.0 - c) * a / v) / x
+
+    # Lambert fast path: pick the W branch by round-trip probe, keep the
+    # numeric monotone inversion as fallback.
+    lambert = None  # (branch, W(B)) passing the probe
+    probe = 0.5
+    for branch in (("principal", "lower") if params.B >= 0.0
+                   else ("lower", "principal")):
+        try:
+            w_b = lambert_w(branch, params.B)
+            if abs(cd_exp_closed(params, log_cd(probe), branch, w_b)
+                   - probe) < 1e-6:
+                lambert = (branch, w_b)
+                break
+        except (ValueError, ArithmeticError):
+            pass
+
+    exp_cd = None
+    if lambert is not None:
+        def exp_cd(y, m=ScalarOps):
+            """W(B) is fixed per family; an element whose W argument
+            leaves the branch, or whose value is not finite, falls back to
+            the numeric inversion of the closed log."""
+            out = cd_exp_closed(params, y, *lambert)
+            if m is ScalarOps:
+                return out if math.isfinite(out) else dd._invert_log(y)
+            for i in np.flatnonzero(~np.isfinite(out)):
+                out.flat[i] = dd._invert_log(float(y.flat[i]))
+            return out
 
     dd = Deformation(
         f"cd(c={c:g}, d={d:g}, r={r:g})", params=(c, d, r),
         phi=phi_cd, phi_prime=phi_cd_prime,
-        log_closed=log_cd,
+        log_closed=log_cd, exp_closed=exp_cd,
         log_lower_limit=-math.inf, log_upper_limit=log_upper,
-        x_upper=x_upper,
+        x_upper=x_upper, vectorized=True,
     )
-
-    # Lambert fast path: pick the W branch by round-trip probe, keep the
-    # numeric monotone inversion as fallback.
-    w_branch = "principal" if params.B >= 0.0 else "lower"
-    probe = 0.5
-    try:
-        ok = abs(cd_exp_closed(params, log_cd(probe), w_branch) - probe) < 1e-6
-    except (ValueError, ArithmeticError):
-        ok = False
-    if not ok:
-        other = "lower" if w_branch == "principal" else "principal"
-        try:
-            if abs(cd_exp_closed(params, log_cd(probe), other) - probe) < 1e-6:
-                w_branch = other
-                ok = True
-        except (ValueError, ArithmeticError):
-            pass
-
-    if ok:
-        def exp_cd(y):
-            try:
-                return cd_exp_closed(params, y, w_branch)
-            except (ValueError, ArithmeticError):
-                return dd._invert_log(y)
-        dd.exp_closed = exp_cd
-    dd.lambert_branch = w_branch if ok else None
+    dd.lambert_branch = lambert[0] if lambert is not None else None
     dd.cd_params = params
     return dd

@@ -103,15 +103,15 @@ def entropy_amari(d: Deformation, p: ProbVec) -> float:
     """Escort-constraint (Amari, canonical) entropy:
     -(1/h_phi) sum_j phi(p_j) log_phi(p_j)."""
     _require_interior(p, "entropy_amari")
-    h = h_phi(d, p)
-    return -sum(d.phi(pj) * d.log(pj) for pj in p.probs) / h
+    phis = d.phi(p.probs)
+    return -float(phis @ d.log(p.probs)) / float(phis.sum())
 
 
 def entropy_from_phi_nu(d: Deformation, nu: float, p: ProbVec) -> float:
     """Trace-form entropy sum_i (phi(p_i) - p_i)/nu of the deformed-log
     duality (Tsallis entropy for phi = x^q, nu = 1-q)."""
     _require_interior(p, "entropy_from_phi_nu")
-    return sum((d.phi(pj) - pj) / nu for pj in p.probs)
+    return float(np.sum((d.phi(p.probs) - p.probs) / nu))
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +135,8 @@ def divergence_amari(d: Deformation, p: ProbVec, q: ProbVec) -> float:
     """(1/h_phi(p)) sum_j phi(p_j) (log_phi(p_j) - log_phi(q_j))."""
     _require_interior(p, "divergence_amari")
     _require_interior(q, "divergence_amari")
-    h = h_phi(d, p)
-    return sum(d.phi(pj) * (d.log(pj) - d.log(qj))
-               for pj, qj in zip(p.probs, q.probs)) / h
+    phis = d.phi(p.probs)
+    return float(phis @ (d.log(p.probs) - d.log(q.probs))) / float(phis.sum())
 
 
 def divergence_csiszar(f, p: ProbVec, q: ProbVec) -> float:
@@ -158,7 +157,7 @@ def divergence_bregman(F, gradF, p: ProbVec, q: ProbVec) -> float:
 def metric_naudts(d: Deformation, p: ProbVec) -> MetricMatrix:
     """g^N = diag(1/phi(p_i)) + 1/phi(p_0), simplex-interior chart."""
     _require_interior(p, "metric_naudts")
-    inv = np.array([1.0 / d.phi(pj) for pj in p.probs])
+    inv = 1.0 / d.phi(p.probs)
     m = np.diag(inv[1:]) + inv[0]
     return MetricMatrix(m, "simplex_interior", p)
 
@@ -166,9 +165,9 @@ def metric_naudts(d: Deformation, p: ProbVec) -> MetricMatrix:
 def metric_amari(d: Deformation, p: ProbVec) -> MetricMatrix:
     """g^A = (1/h_phi) (diag(phi'/phi (p_i)) + phi'/phi (p_0))."""
     _require_interior(p, "metric_amari")
-    h = h_phi(d, p)
-    ratio = np.array([d.phi_prime(pj) / d.phi(pj) for pj in p.probs])
-    m = (np.diag(ratio[1:]) + ratio[0]) / h
+    phis = d.phi(p.probs)
+    ratio = d.phi_prime(p.probs) / phis
+    m = (np.diag(ratio[1:]) + ratio[0]) / float(phis.sum())
     return MetricMatrix(m, "simplex_interior", p)
 
 
@@ -193,9 +192,10 @@ def t_operator(d: Deformation, p: ProbVec) -> MetricMatrix:
     With that normalization T(g^N) reproduces the escort-constraint metric.
     """
     _require_interior(p, "t_operator")
-    n_g = 1.0 / h_phi(d, p)
+    phis = d.phi(p.probs)
+    n_g = 1.0 / float(phis.sum())
     # -(log(1/phi))' = phi'/phi
-    vals = np.array([n_g * d.phi_prime(pj) / d.phi(pj) for pj in p.probs])
+    vals = n_g * d.phi_prime(p.probs) / phis
     m = np.diag(vals[1:]) + vals[0]
     return MetricMatrix(m, "simplex_interior", p)
 

@@ -1,19 +1,20 @@
 """Deformed exponential families on finite configuration sets: the
 normalizer Psi, maximum-entropy fitting under linear and escort moment
-constraints, and the Legendre pair built on the Massieu function -Psi."""
+constraints with analytic Jacobians, and the Legendre pair built on the
+Massieu function -Psi."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .deform import Deformation, ProbVec, escort
+from .deform import Deformation, ProbVec, _phi_values, escort
 from .errors import (BoundaryError, ConvergenceError, DomainError,
                      InfeasibleTargetError, NoNormalizationError, RangeError)
-from .specfun import GRAD_STEP, Tolerance, find_root
+from .specfun import Tolerance
 
 _ROOT_TOL = Tolerance(abs_tol=1e-14, rel_tol=1e-14, max_iter=300)
 
@@ -68,8 +69,9 @@ class PhiExpFamily:
 def normalize(d: Deformation, E: ConfigMatrix, theta) -> PhiExpFamily:
     """Find the unique psi with sum_i exp_phi(psi + theta . E_i) = 1.
 
-    The sum is non-decreasing in psi (strictly where positive), so a
-    bracketed root finder applies; states may sit below the cutoff.
+    The sum is non-decreasing in psi (strictly where positive), so the root
+    is bracketed and found by safeguarded Newton steps; states may sit
+    below the cutoff.
     """
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.shape[0] != E.n_constraints:
@@ -79,9 +81,6 @@ def normalize(d: Deformation, E: ConfigMatrix, theta) -> PhiExpFamily:
     a = E.E @ theta
     n = E.n_states
 
-    def total(psi):
-        return sum(d.exp(psi + ai) for ai in a)
-
     log_unif = d.log(1.0 / n)
     lo = log_unif - float(np.max(a))
     hi = log_unif - float(np.min(a))
@@ -89,27 +88,68 @@ def normalize(d: Deformation, E: ConfigMatrix, theta) -> PhiExpFamily:
     cap = d.log_upper_limit - float(np.max(a))
     if math.isfinite(cap):
         hi = min(hi, lo + 0.999999 * (cap - lo))
-    f_hi = total(hi) - 1.0
+    p_hi = d.exp(hi + a)
     grow = 0
-    while f_hi < 0.0:
+    while p_hi.sum() < 1.0:
         if math.isfinite(cap) and hi >= lo + 0.9999995 * (cap - lo):
             raise NoNormalizationError(
                 f"{d.name}: no psi below the range limit normalizes theta={theta}")
         step = max(hi - lo, 1.0)
         hi = hi + step if not math.isfinite(cap) else min(
             hi + step, lo + 0.9999995 * (cap - lo))
-        f_hi = total(hi) - 1.0
+        p_hi = d.exp(hi + a)
         grow += 1
         if grow > 200:
             raise NoNormalizationError(
                 f"{d.name}: failed to bracket the normalizer for theta={theta}")
-    psi = find_root(lambda s: total(s) - 1.0, lo, hi, _ROOT_TOL)
-    probs = np.array([d.exp(psi + ai) for ai in a])
+    psi, probs = _solve_psi(d, a, lo, hi, p_hi)
     s = probs.sum()
     if abs(s - 1.0) > 1e-10:
         raise NoNormalizationError(
             f"{d.name}: normalizer residual {s - 1.0:.3e} too large")
     return PhiExpFamily(d, E, theta, psi, ProbVec(probs / s))
+
+
+def _solve_psi(d: Deformation, a: np.ndarray, lo: float, hi: float,
+               p_hi: np.ndarray):
+    """psi in [lo, hi] with sum_i exp_phi(psi + a_i) = 1, given the pmf at
+    hi, whose sum is at least 1.
+
+    Newton steps on g(psi) = log sum_i exp_phi(psi + a_i), whose slope is
+    sum_{p_i>0} phi(p_i) / sum_i p_i because exp_phi' = phi(exp_phi); g is
+    linear in psi for the ordinary exponential.  A step that leaves the
+    bracket [lo, hi], kept around the root, is replaced by bisection.  The
+    root counts as found when the Newton correction or the bracket is
+    below 1e-14 (absolute plus relative); returns psi and the unnormalized
+    pmf there."""
+    psi, p = hi, p_hi
+    for _ in range(_ROOT_TOL.max_iter):
+        s = p.sum()
+        if math.isnan(s):
+            raise DomainError(f"{d.name}: exp_phi gave NaN while normalizing")
+        if s == 1.0:
+            return psi, p
+        if s > 1.0:
+            hi = psi
+        else:
+            lo = psi
+        tol = _ROOT_TOL.abs_tol + _ROOT_TOL.rel_tol * abs(psi)
+        live = p > 0.0
+        slope = d.phi(p[live]).sum() / s if s > 0.0 else 0.0
+        if slope > 0.0 and math.isfinite(slope):
+            step = math.log(s) / slope
+            if abs(step) <= tol:
+                return psi, p
+            nxt = psi - step
+        else:
+            nxt = math.nan
+        if not (lo < nxt < hi):
+            if hi - lo <= tol:
+                return psi, p
+            nxt = 0.5 * (lo + hi)
+        psi = nxt
+        p = d.exp(psi + a)
+    raise ConvergenceError(f"{d.name}: normalizer did not converge")
 
 
 def _require_interior(fam: PhiExpFamily, what: str):
@@ -128,15 +168,16 @@ def psi_forms(fam: PhiExpFamily) -> dict:
     """
     _require_interior(fam, "psi_forms")
     d, p = fam.d, fam.pmf.probs
-    logs = np.array([d.log(pj) for pj in p])
-    esc = escort(d, fam.pmf).probs
+    logs = d.log(p)
+    phis = d.phi(p)
+    esc = phis / phis.sum()
     mom_lin = fam.E.E.T @ p
     mom_esc = fam.E.E.T @ esc
     return {
         "psi_root": fam.psi,
         "psi_linear": float(logs @ p - fam.theta @ mom_lin),
         "psi_escort": float(logs @ esc - fam.theta @ mom_esc),
-        "phi_sum_diagnostic": float(-sum(d.phi(pj) for pj in p)),
+        "phi_sum_diagnostic": -float(phis.sum()),
     }
 
 
@@ -164,7 +205,7 @@ def varphi_dual(fam: PhiExpFamily) -> dict:
     d, p = fam.d, fam.pmf.probs
     eta = eta_coords(fam)
     esc = escort(d, fam.pmf).probs
-    avg = float(sum(P * d.log(pj) for P, pj in zip(esc, p)))
+    avg = float(esc @ d.log(p))
     return {
         "legendre_value": float(fam.theta @ eta + fam.psi),
         "escort_average_value": avg,
@@ -196,7 +237,44 @@ def _hull_check(E: ConfigMatrix, targets: np.ndarray):
             "configuration rows")
 
 
-def _fit(d: Deformation, E: ConfigMatrix, targets, moment_fn, label):
+def _support_phi(d: Deformation, p: np.ndarray) -> np.ndarray:
+    """phi(p_i) on the support p_i > 0, and 0 on the cutoff states."""
+    w = np.zeros(p.shape)
+    live = p > 0.0
+    w[live] = d.phi(p[live])
+    return w
+
+
+def pmf_jacobian(E: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """dp/dtheta of p_i = exp_phi(psi + theta . E_i), given w = phi(p) on
+    the support (0 on cutoff states): w_i (E_ij - eta_j) with eta = E^T w /
+    sum(w), because exp_phi' = phi(exp_phi) and the normalizer has gradient
+    -eta.  Every column sums to 0."""
+    return w[:, None] * (E - (E.T @ w) / w.sum())
+
+
+def _linear_moments(fam: PhiExpFamily):
+    """E^T p and its theta-Jacobian E^T dp/dtheta."""
+    E, p = fam.E.E, fam.pmf.probs
+    return E.T @ p, E.T @ pmf_jacobian(E, _support_phi(fam.d, p))
+
+
+def _escort_moments(fam: PhiExpFamily):
+    """E^T P with P the escort of p, and its theta-Jacobian E^T dP/dtheta,
+    dP/dtheta = (phi'(p) o J - P (phi'(p)^T J)) / h_phi with J = dp/dtheta;
+    phi' is taken on the support only, where J is nonzero."""
+    d, E, p = fam.d, fam.E.E, fam.pmf.probs
+    w = _phi_values(d, fam.pmf)
+    h = w.sum()
+    P = w / h
+    live = p > 0.0
+    J = pmf_jacobian(E, np.where(live, w, 0.0))
+    G = np.zeros(J.shape)
+    G[live] = d.phi_prime(p[live])[:, None] * J[live]
+    return E.T @ P, E.T @ ((G - P[:, None] * G.sum(axis=0)) / h)
+
+
+def _fit(d: Deformation, E: ConfigMatrix, targets, moments, label):
     targets = np.asarray(targets, dtype=float).reshape(-1)
     if targets.shape[0] != E.n_constraints:
         raise DomainError("target length does not match constraint count")
@@ -205,26 +283,15 @@ def _fit(d: Deformation, E: ConfigMatrix, targets, moment_fn, label):
 
     def residual(theta):
         fam = normalize(d, E, theta)
-        return moment_fn(fam) - targets, fam
+        mom, jac = moments(fam)
+        return mom - targets, jac, fam
 
     theta = np.zeros(m)
-    r, fam = residual(theta)
+    r, J, fam = residual(theta)
     norm = np.max(np.abs(r))
     for _ in range(100):
         if norm <= 1e-10:
             return fam
-        J = np.empty((m, m))
-        for j in range(m):
-            h = max(abs(theta[j]), 1.0) * GRAD_STEP
-            tp = theta.copy(); tp[j] += h
-            tm = theta.copy(); tm[j] -= h
-            try:
-                rp, _ = residual(tp)
-                rm, _ = residual(tm)
-            except NoNormalizationError:
-                raise ConvergenceError(
-                    f"{label}: Jacobian stencil left the admissible theta set")
-            J[:, j] = (rp - rm) / (2.0 * h)
         try:
             step = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError:
@@ -232,13 +299,13 @@ def _fit(d: Deformation, E: ConfigMatrix, targets, moment_fn, label):
         lam = 1.0
         for _ in range(40):
             try:
-                r_new, fam_new = residual(theta + lam * step)
+                r_new, J_new, fam_new = residual(theta + lam * step)
             except (NoNormalizationError, RangeError, OverflowError):
                 lam *= 0.5
                 continue
             if np.max(np.abs(r_new)) < norm:
                 theta = theta + lam * step
-                r, fam, norm = r_new, fam_new, np.max(np.abs(r_new))
+                r, J, fam, norm = r_new, J_new, fam_new, np.max(np.abs(r_new))
                 break
             lam *= 0.5
         else:
@@ -252,13 +319,10 @@ def _fit(d: Deformation, E: ConfigMatrix, targets, moment_fn, label):
 def fit_linear_moments(d: Deformation, E: ConfigMatrix, targets) -> PhiExpFamily:
     """theta such that E^T . pmf = targets (entropy of integral type is
     maximal under these plain moment constraints)."""
-    return _fit(d, E, targets, lambda fam: E.E.T @ fam.pmf.probs,
-                "fit_linear_moments")
+    return _fit(d, E, targets, _linear_moments, "fit_linear_moments")
 
 
 def fit_escort_moments(d: Deformation, E: ConfigMatrix, targets) -> PhiExpFamily:
     """theta such that E^T . escort(pmf) = targets (canonical entropy is
     maximal under escort moment constraints)."""
-    return _fit(d, E, targets,
-                lambda fam: E.E.T @ escort(d, fam.pmf).probs,
-                "fit_escort_moments")
+    return _fit(d, E, targets, _escort_moments, "fit_escort_moments")

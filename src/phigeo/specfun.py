@@ -1,4 +1,4 @@
-"""Self-contained numerical kernels: Lambert W, upper incomplete gamma,
+"""Numerical kernels: Lambert W (over scipy), upper incomplete gamma,
 adaptive quadrature, bracketed root finding, and finite differences.
 
 Everything here is pure and holds no global state.
@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import lambertw
 
 from .errors import BracketError, ConvergenceError, DomainError
 
@@ -43,103 +44,45 @@ _INV_E = -1.0 / math.e
 # ---------------------------------------------------------------------------
 # Lambert W
 
-def _halley_w(w, x, tol):
-    for _ in range(tol.max_iter):
-        ew = math.exp(w)
-        f = w * ew - x
-        if f == 0.0:
-            return w
-        wp1 = w + 1.0
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1) if wp1 != 0.0 else ew
-        if denom == 0.0:
-            break
-        dw = f / denom
-        w -= dw
-        if abs(dw) < tol.abs_tol + tol.rel_tol * abs(w):
-            return w
-    return None
+_W_BRANCHES = {"principal": 0, "lower": -1}
+# Below this distance e*x + 1 from the branch point, scipy's iteration loses
+# accuracy on the lower branch (errors up to 1e-4 at e*x + 1 ~ 1e-9, NaN at
+# -1/e itself); the branch-point series in p = +-sqrt(2(e*x + 1)), truncated
+# after p^5, is exact to rounding there.
+_W_SERIES_BELOW = 1e-6
 
 
-def _bisect_w(x, lo, hi, increasing, tol):
-    # w*e^w is monotone on each branch; plain bisection is always safe.
-    def g(w):
-        return w * math.exp(w) - x
-
-    flo = g(lo)
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        fm = g(mid)
-        if abs(hi - lo) < tol.abs_tol + tol.rel_tol * abs(mid):
-            return mid
-        same_side = (fm > 0) == (flo > 0)
-        if same_side:
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def lambert_w(branch: str, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def lambert_w(branch: str, x):
     """Real Lambert W: solve w*exp(w) = x on the requested branch.
 
-    ``principal`` covers x >= -1/e with w >= -1; ``lower`` covers
-    -1/e <= x < 0 with w <= -1.  Halley iteration seeded by the standard
-    asymptotic guesses, with bisection as a safety net near -1/e.
+    ``principal`` (k = 0) covers x >= -1/e with w >= -1; ``lower`` (k = -1)
+    covers -1/e <= x < 0 with w <= -1.  Takes a scalar (returns a float) or
+    an ndarray (returns an array of the same shape); any element outside the
+    branch's domain raises DomainError.  Values rounded just below -1/e are
+    clamped onto the branch point.
     """
-    if branch not in ("principal", "lower"):
+    k = _W_BRANCHES.get(branch)
+    if k is None:
         raise DomainError(f"unknown branch {branch!r}")
-    if math.isnan(x):
+    xa = np.asarray(x, dtype=float)
+    lo = float(xa.min(initial=math.inf))
+    if math.isnan(lo):
         raise DomainError("lambert_w: x is NaN")
     # Tolerate rounding just below the branch point.
-    if x < _INV_E:
-        if x > _INV_E - 1e-14 * abs(_INV_E) - 1e-300:
-            x = _INV_E
-        else:
-            raise DomainError(f"lambert_w: x={x} below branch point -1/e")
-    if x == _INV_E:
-        return -1.0
-
-    if branch == "principal":
-        if x == 0.0:
-            return 0.0
-        if x < -0.25:
-            w = -1.0 + math.sqrt(2.0 * (math.e * x + 1.0))
-        elif x < 3.0:
-            w = x / (1.0 + x)
-        else:
-            l1 = math.log(x)
-            l2 = math.log(l1)
-            w = l1 - l2 + l2 / l1
-    else:
-        if x >= 0.0:
-            raise DomainError("lambert_w: lower branch requires x < 0")
-        if x > -0.27:
-            l1 = math.log(-x)
-            l2 = math.log(-l1)
-            w = l1 - l2 + l2 / l1
-        else:
-            w = -1.0 - math.sqrt(max(2.0 * (math.e * x + 1.0), 0.0))
-
-    got = _halley_w(w, x, tol)
-    ok = got is not None
-    if ok and branch == "principal":
-        ok = got >= -1.0 - 1e-10
-    if ok and branch == "lower":
-        ok = got <= -1.0 + 1e-10
-    if ok and abs(got * math.exp(got) - x) <= tol.abs_tol + tol.rel_tol * abs(x):
-        return got
-
-    if branch == "principal":
-        hi = max(2.0, math.log(abs(x) + 2.0) + 2.0)
-        return _bisect_w(x, -1.0, hi, True, tol)
-    lo = -1.0
-    hi = -1.0
-    while hi * math.exp(hi) < x:  # decreasing branch: walk left until below
-        hi = lo
-        lo *= 2.0
-        if lo < -750.0:
-            raise ConvergenceError("lambert_w: lower-branch bracket failed")
-    return _bisect_w(x, lo, -1.0, False, tol)
+    if lo < _INV_E:
+        if lo <= _INV_E - 1e-14 * abs(_INV_E) - 1e-300:
+            raise DomainError(f"lambert_w: x={lo} below branch point -1/e")
+        xa = np.maximum(xa, _INV_E)
+    if k == -1 and xa.max(initial=-math.inf) >= 0.0:
+        raise DomainError("lambert_w: lower branch requires x < 0")
+    w = lambertw(xa, k).real
+    if math.e * lo + 1.0 < _W_SERIES_BELOW:
+        t = np.maximum(math.e * xa + 1.0, 0.0)
+        p = np.sqrt(2.0 * t) * (1.0 if k == 0 else -1.0)
+        series = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (
+            11.0 / 72.0 + p * (-43.0 / 540.0 + p * 769.0 / 17280.0))))
+        w = np.where(t < _W_SERIES_BELOW, series, w)
+    return float(w) if w.ndim == 0 else w
 
 
 # ---------------------------------------------------------------------------

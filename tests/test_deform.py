@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 from phigeo.deform import (Deformation, ProbVec, chi_dual, escort, exp_of_log,
-                           h_phi, ts_dual, uniform)
+                           h_phi, ts_dual, uniform, validation_grid)
 from phigeo.errors import (BoundaryError, DomainError, PoleError, RangeError)
-from phigeo.families import identity, stretched, tsallis
+from phigeo.families import cd_family, identity, stretched, tsallis
+
+
+def quiet(fn, *a, **k):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return fn(*a, **k)
 
 
 class TestProbVec:
@@ -179,3 +185,117 @@ class TestTsDual:
         back = ts_dual(ts_dual(d, nu), -nu)
         for x in [0.3, 1.4]:
             assert abs(back.log(x) - d.log(x)) < 1e-12
+
+
+# Array evaluation against the scalar path.  numpy's elementwise log, exp
+# and power may differ from the math module's by an ulp or two, and the
+# closed forms compound a few of them: 8 ulps relative, fixed from the dtype.
+ARRAY_RTOL = 8 * np.finfo(float).eps
+
+
+def exp_close(d, got, ys):
+    """exp_phi(ys) against the scalar path.  exp_phi is ill-conditioned
+    where |y| phi(x) / x is large (near the cd branch point): an ulp in y
+    moves it by that factor, so the tolerance scales with it."""
+    ref = np.array([d.exp(float(y)) for y in ys])
+    cond = np.maximum(1.0, np.abs(ys) * d.phi(ref) / ref)
+    return np.all(np.abs(got - ref) <= ARRAY_RTOL * cond * np.abs(ref))
+
+
+def closed_families():
+    return [identity(), tsallis(0.5), tsallis(2.0), tsallis(1.4),
+            quiet(stretched, 2.0), quiet(stretched, 0.5), cd_family(1.0, 1.0),
+            cd_family(0.5, 0.0), quiet(cd_family, 1.0, 0.5),
+            quiet(cd_family, 0.7, 0.4), quiet(cd_family, 0.8, -0.5),
+            quiet(cd_family, 0.8, 0.5)]
+
+
+class TestArrayForms:
+    @pytest.mark.parametrize("d", closed_families(), ids=repr)
+    def test_matches_scalar_path_on_validation_grid(self, d):
+        assert d.vectorized
+        grid = validation_grid(d.x_upper)
+        for name in ("log", "phi", "phi_prime"):
+            f = getattr(d, name)
+            got = f(grid)
+            ref = np.array([f(float(x)) for x in grid])
+            assert got.shape == grid.shape
+            assert np.allclose(got, ref, rtol=ARRAY_RTOL, atol=0.0), name
+        ys = d.log(grid)
+        assert exp_close(d, d.exp(ys), ys)
+
+    def test_scalar_in_float_out(self):
+        d = tsallis(0.5)
+        assert type(d.log(0.3)) is float
+        assert type(d.exp(0.3)) is float
+        assert isinstance(d.exp(np.array(0.3)), np.ndarray)
+        assert d.exp(np.zeros((2, 3))).shape == (2, 3)
+
+    def test_cutoff_elementwise(self):
+        d = tsallis(0.5)
+        ys = np.array([-2.5, -2.0, -1.0, 0.5])
+        got = d.exp(ys)
+        assert got[0] == 0.0 and got[1] == 0.0
+        assert exp_close(d, got[2:], ys[2:])
+
+    def test_upper_limit_raises_for_any_element(self):
+        d = tsallis(2.0)
+        with pytest.raises(RangeError):
+            d.exp(np.array([0.2, 0.5, 1.0]))
+
+    def test_nan_raises(self):
+        d = stretched(2.0)
+        with pytest.raises(DomainError):
+            d.exp(np.array([0.1, math.nan]))
+        with pytest.raises(DomainError):
+            d.log(np.array([0.5, math.nan]))
+        with pytest.raises(DomainError):
+            d.log(np.array([0.5, 0.0]))
+
+    def test_cd_lambert_fallback_element(self):
+        # At y = -1e308 the W argument underflows to -0.0, off the lower
+        # branch; that element alone takes the numeric inversion.
+        d = quiet(cd_family, 0.8, -0.5)
+        assert d.lambert_branch == "lower"
+        ys = np.array([-1e308, -1.0, 0.0, 1.5])
+        got = d.exp(ys)
+        assert got[0] == d._invert_log(-1e308) == 0.0
+        assert exp_close(d, got[1:], ys[1:])
+        assert np.allclose(d.log(got[1:]), ys[1:], rtol=0.0, atol=1e-10)
+
+    def test_scalar_only_generator_loops(self):
+        d = Deformation("numlog", lambda x: x, lambda x: 1.0)
+        assert not d.vectorized
+        xs = np.array([0.02, 0.7, 3.0])
+        assert np.allclose(d.log(xs), np.log(xs), atol=1e-10)
+        assert np.allclose(d.exp(np.array([-0.4, 1.2])),
+                           np.exp([-0.4, 1.2]), atol=1e-9)
+
+    def test_grid_built_once_and_evaluated_once(self, monkeypatch):
+        calls = {"geomspace": 0, "phi": 0, "phi_prime": 0}
+        geomspace = np.geomspace
+
+        def counted_geomspace(*a, **k):
+            calls["geomspace"] += 1
+            return geomspace(*a, **k)
+
+        def phi(x, m=None):
+            if isinstance(x, np.ndarray):
+                calls["phi"] += 1
+            return x ** 0.5
+
+        def phi_prime(x, m=None):
+            if isinstance(x, np.ndarray):
+                calls["phi_prime"] += 1
+            return 0.5 * x ** -0.5
+
+        monkeypatch.setattr(np, "geomspace", counted_geomspace)
+        Deformation("t", phi, phi_prime,
+                    log_closed=lambda x, m=None: 2.0 * (x ** 0.5 - 1.0),
+                    x_upper=50.0, vectorized=True)
+        assert calls == {"geomspace": 1, "phi": 1, "phi_prime": 1}
+        # the unbounded grid is a module constant
+        Deformation("t", phi, phi_prime,
+                    log_closed=lambda x, m=None: 2.0 * (x ** 0.5 - 1.0),
+                    vectorized=True)
+        assert calls == {"geomspace": 1, "phi": 2, "phi_prime": 2}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import phigeo.geometry as geo
+import phigeo.maxent as maxent
 from phigeo.deform import ProbVec, escort
 from phigeo.errors import (BoundaryError, DomainError, InfeasibleTargetError,
                            NoNormalizationError)
@@ -12,7 +13,7 @@ from phigeo.families import cd_family, identity, stretched, tsallis
 from phigeo.maxent import (ConfigMatrix, eta_coords, fit_escort_moments,
                            fit_linear_moments, massieu, normalize, psi_forms,
                            varphi_dual)
-from phigeo.specfun import numeric_diff
+from phigeo.specfun import GRAD_STEP, numeric_diff
 
 
 def quiet(fn, *a, **k):
@@ -231,3 +232,106 @@ class TestFitting:
             if np.any(w <= 0):
                 continue
             assert geo.entropy_naudts(d, ProbVec(w)) <= base + 1e-12
+
+
+# The (family, n) pairs whose normalize at theta = 0 rounded
+# n * exp_phi(log_phi(1/n)) above 1, which made the bracket [lo, lo] fail.
+THETA_ZERO_PAIRS = [("identity", 8), ("identity", 128), ("tsallis(0.5)", 128),
+                    ("stretched(2)", 8), ("stretched(2)", 32),
+                    ("stretched(2)", 128), ("cd(0.8,-0.5)", 32)]
+FAMILY_BY_NAME = {
+    "identity": identity, "tsallis(0.5)": lambda: tsallis(0.5),
+    "stretched(2)": lambda: quiet(stretched, 2.0),
+    "cd(0.8,-0.5)": lambda: quiet(cd_family, 0.8, -0.5)}
+
+
+class TestThetaZero:
+    @pytest.mark.parametrize("name,n", THETA_ZERO_PAIRS)
+    def test_normalize_and_fits(self, name, n):
+        d = FAMILY_BY_NAME[name]()
+        rng = np.random.default_rng(n)
+        E = ConfigMatrix(rng.normal(size=(n, 2)))
+        fam = normalize(d, E, [0.0, 0.0])
+        assert np.allclose(fam.pmf.probs, 1.0 / n, rtol=1e-12)
+        targets = E.E.T @ rng.dirichlet(np.full(n, 2.0))
+        fam = fit_linear_moments(d, E, targets)
+        assert np.max(np.abs(E.E.T @ fam.pmf.probs - targets)) <= 1e-8
+        fam = fit_escort_moments(d, E, targets)
+        assert np.max(np.abs(eta_coords(fam) - targets)) <= 1e-8
+
+
+def _bisect_psi(d, a):
+    # independent oracle: plain bisection on the scalar exp path
+    lo, hi = -60.0, 60.0
+    hi = min(hi, d.log_upper_limit - np.max(a) - 1e-12)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if sum(d.exp(mid + ai) for ai in a) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestNewtonNormalizer:
+    @pytest.mark.parametrize("d", ALL_FAMILIES + [quiet(cd_family, 0.8, -0.5)],
+                             ids=repr)
+    def test_against_bisection(self, d):
+        rng = np.random.default_rng(4)
+        E = ConfigMatrix(rng.normal(size=(12, 2)))
+        for _ in range(3):
+            theta = rng.normal(scale=0.6, size=2)
+            fam = normalize(d, E, theta)
+            assert abs(fam.psi - _bisect_psi(d, E.E @ theta)) < 1e-11
+            assert abs(fam.pmf.probs.sum() - 1.0) < 1e-12
+
+
+def _fd_jacobian(d, E, theta, moments):
+    """The central-difference stencil, kept as the oracle."""
+    m = theta.size
+    J = np.empty((m, m))
+    for j in range(m):
+        h = max(abs(theta[j]), 1.0) * GRAD_STEP
+        tp = theta.copy(); tp[j] += h
+        tm = theta.copy(); tm[j] -= h
+        J[:, j] = (moments(normalize(d, E, tp))[0]
+                   - moments(normalize(d, E, tm))[0]) / (2.0 * h)
+    return J
+
+
+JACOBIAN_CASES = [  # (family, theta scale); tsallis(0.5) reaches its cutoff
+    (lambda: tsallis(0.5), 1.5), (lambda: tsallis(2.0), 0.3),
+    (lambda: quiet(cd_family, 0.7, 0.4), 0.5),
+    (lambda: quiet(stretched, 2.0), 0.5)]
+
+
+class TestAnalyticJacobians:
+    @pytest.mark.parametrize("case", range(len(JACOBIAN_CASES)))
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_against_central_differences(self, case, m):
+        make, scale = JACOBIAN_CASES[case]
+        d = make()
+        rng = np.random.default_rng(10 * case + m)
+        E = ConfigMatrix(rng.normal(size=(8, m)))
+        theta = rng.normal(scale=scale, size=m)
+        fam = normalize(d, E, theta)
+        if case == 0:
+            assert 0 < np.sum(fam.pmf.probs == 0.0) < 8 - m
+        for moments in (maxent._linear_moments, maxent._escort_moments):
+            analytic = moments(fam)[1]
+            fd = _fd_jacobian(d, E, theta, moments)
+            assert np.all(np.isfinite(analytic))
+            assert np.max(np.abs(analytic - fd)) < 1e-6 * np.max(np.abs(fd))
+
+
+class TestLargeFit:
+    @pytest.mark.parametrize("fit", [fit_linear_moments, fit_escort_moments])
+    def test_n1000_m3_converges(self, fit):
+        rng = np.random.default_rng(1000)
+        E = ConfigMatrix(rng.normal(size=(1000, 3)))
+        targets = E.E.T @ rng.dirichlet(np.full(1000, 2.0))
+        for d in (tsallis(0.5), quiet(cd_family, 0.7, 0.4)):
+            fam = fit(d, E, targets)
+            got = (E.E.T @ fam.pmf.probs if fit is fit_linear_moments
+                   else eta_coords(fam))
+            assert np.max(np.abs(got - targets)) <= 1e-8

@@ -58,6 +58,36 @@ class TestLambertW:
         with pytest.raises(DomainError):
             lambert_w("lower", 0.1)
 
+    def test_array_matches_scalar(self):
+        xs = np.concatenate([np.geomspace(1e-6, 1e6, 9), [0.0, -0.2, -0.36]])
+        got = lambert_w("principal", xs)
+        assert isinstance(got, np.ndarray) and got.shape == xs.shape
+        assert np.array_equal(got, [lambert_w("principal", x) for x in xs])
+        low = -np.geomspace(1e-8, 0.36, 7)
+        assert np.array_equal(lambert_w("lower", low),
+                              [lambert_w("lower", x) for x in low])
+        assert type(lambert_w("principal", 0.5)) is float
+
+    def test_array_domain_errors(self):
+        with pytest.raises(DomainError):
+            lambert_w("principal", np.array([0.5, math.nan]))
+        with pytest.raises(DomainError):
+            lambert_w("principal", np.array([0.5, -1.0]))
+        with pytest.raises(DomainError):
+            lambert_w("lower", np.array([-0.2, 0.0]))
+
+    @pytest.mark.parametrize("dist", [1e-15, 1e-12, 1e-9, 1e-7, 1e-5])
+    def test_near_branch_point_against_mpmath(self, dist):
+        # W is ill-conditioned there: an input rounding of ~1e-16 in e*x + 1
+        # moves W by ~1e-16 / sqrt(2 (e*x + 1)); allow ten times that.
+        x = -1.0 / math.e + dist
+        t = math.e * x + 1.0
+        tol = max(10 * 1.2e-16 / math.sqrt(2.0 * t), 1e-14)
+        with mpmath.workdps(40):
+            for branch, k in (("principal", 0), ("lower", -1)):
+                ref = float(mpmath.lambertw(mpmath.mpf(x), k).real)
+                assert abs(lambert_w(branch, x) - ref) < tol, branch
+
 
 class TestUpperGamma:
     def test_gamma_1_x(self):
