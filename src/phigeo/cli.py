@@ -13,7 +13,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -214,22 +213,19 @@ def cmd_figure(args) -> int:
 
         def one(point):
             c, dd = point
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                try:
-                    fam = cd_family(c, dd)
-                    gN = geo.metric_naudts(fam, prob).entries[0, 0]
-                    gA = geo.metric_amari(fam, prob).entries[0, 0]
-                    if not (math.isfinite(gN) and math.isfinite(gA)):
-                        return (math.nan, math.nan)
-                    return (gN, gA)
-                except Exception:
+            try:
+                fam = cd_family(c, dd)
+                gN = geo.metric_naudts(fam, prob).entries[0, 0]
+                gA = geo.metric_amari(fam, prob).entries[0, 0]
+                if not (math.isfinite(gN) and math.isfinite(gA)):
                     return (math.nan, math.nan)
+                return (gN, gA)
+            except Exception:
+                return (math.nan, math.nan)
 
-        threads = int(os.environ.get("PHIGEO_THREADS", "0")) or min(
-            8, os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(one, points))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            values = [one(point) for point in points]
         rows_n = [[c, dd, v[0]] for (c, dd), v in zip(points, values)]
         rows_a = [[c, dd, v[1]] for (c, dd), v in zip(points, values)]
         _write_csv(os.path.join(args.out, "fig2_naudts.csv"),

@@ -7,11 +7,13 @@ from __future__ import annotations
 
 import bisect
 import math
+import threading
 import warnings
 
 import numpy as np
 
-from .errors import BoundaryError, DomainError, PoleError, RangeError
+from .errors import (BoundaryError, ConvergenceError, DomainError, PoleError,
+                     RangeError)
 from .specfun import Tolerance, find_root, integrate, numeric_diff
 
 _LOG_TOL = Tolerance(abs_tol=1e-13, rel_tol=1e-13)
@@ -59,6 +61,72 @@ def _elementwise(f, x: np.ndarray) -> np.ndarray:
     return np.array([f(float(v)) for v in x.flat]).reshape(x.shape)
 
 
+class _Anchors:
+    """Decade anchors of a numeric log, log(x) = integral_1^x dy/phi(y), at
+    x = 1e-12, 1e-11, ..., min(1e3, x_upper) and 1.
+
+    The table is filled lazily and contiguously outward from x = 1, one
+    decade integral per new anchor, and each value is written once, so a
+    value does not depend on the order in which anchors are asked for.  The
+    downward fill stops for good at the first decade whose integrand raises
+    ZeroDivisionError or OverflowError (the generator underflows there and
+    the log is effectively divergent); the lowest anchor filled then stands
+    in for everything below it.  Fills hold a lock; lo only falls and hi
+    only rises, each after its value is written, so reads need none.
+    """
+
+    __slots__ = ("inv_phi", "xs", "vs", "lo", "hi", "floor", "_lock")
+
+    def __init__(self, inv_phi, x_upper):
+        hi_exp = 3
+        if math.isfinite(x_upper):
+            hi_exp = min(hi_exp, int(math.floor(math.log10(x_upper))))
+        self.inv_phi = inv_phi
+        self.xs = sorted({10.0 ** k for k in range(-12, hi_exp + 1)} | {1.0})
+        one = self.xs.index(1.0)
+        self.vs = [math.nan] * len(self.xs)
+        self.vs[one] = 0.0
+        self.lo = self.hi = one  # vs[lo:hi + 1] is filled
+        self.floor = 0           # no anchor below this index can be filled
+        self._lock = threading.Lock()
+
+    def _fill(self, i):
+        """Fill every anchor between x = 1 and index i, as far as reachable."""
+        with self._lock:
+            while self.hi < i:
+                k = self.hi
+                self.vs[k + 1] = self.vs[k] + integrate(
+                    self.inv_phi, self.xs[k], self.xs[k + 1], _LOG_TOL)
+                self.hi = k + 1
+            while self.lo > max(i, self.floor):
+                k = self.lo
+                try:
+                    seg = integrate(self.inv_phi, self.xs[k - 1], self.xs[k],
+                                    _LOG_TOL)
+                except (ZeroDivisionError, OverflowError):
+                    self.floor = k
+                    return
+                self.vs[k - 1] = self.vs[k] - seg
+                self.lo = k - 1
+
+    def anchor(self, x):
+        """Index of the anchor log(x) integrates from: the highest at or
+        below x, or the lowest reachable one when x lies below that."""
+        i = bisect.bisect_right(self.xs, x) - 1
+        if not self.lo <= i <= self.hi:
+            self._fill(i)
+        return max(i, self.lo)
+
+    def reach(self, y):
+        """The filled anchors and their values, extended outward from x = 1
+        until they bracket the log value y or reach the table's end."""
+        while self.vs[self.hi] < y and self.hi < len(self.xs) - 1:
+            self._fill(self.hi + 1)
+        while self.vs[self.lo] >= y and self.lo > self.floor:
+            self._fill(self.lo - 1)
+        return self.xs[self.lo:self.hi + 1], self.vs[self.lo:self.hi + 1]
+
+
 class ProbVec:
     """A point on the probability simplex.
 
@@ -102,8 +170,9 @@ class Deformation:
 
     log_phi(x) = integral_1^x dy/phi(y); exp_phi is its inverse extended by
     the cutoff convention (0 below the lower range limit).  Closed forms are
-    used when supplied, otherwise quadrature / monotone inversion backed by
-    a write-once anchor cache.  Immutable after construction.
+    used when supplied; otherwise log integrates 1/phi from a lazily filled
+    table of decade anchors and exp inverts it by Newton steps inside the
+    anchor bracket.  Immutable after construction (the table only fills).
 
     ``phi``, ``phi_prime``, ``log`` and ``exp`` take a scalar (and return a
     float) or an ndarray (and return a new array of its shape).  With
@@ -117,7 +186,7 @@ class Deformation:
                  log_closed=None, exp_closed=None,
                  log_lower_limit=-math.inf, log_upper_limit=math.inf,
                  x_upper=math.inf, log_int0=None, validate=True,
-                 vectorized=False):
+                 vectorized=False, _anchors=None):
         self.name = name
         self.params = tuple(params)
         self._phi = phi
@@ -130,48 +199,16 @@ class Deformation:
         self.log_int0 = log_int0
         self.vectorized = vectorized
 
-        self._anchor_x = None
-        self._anchor_v = None
-        grid = validation_grid(self.x_upper) if validate else None
-        if validate:
-            self._validate_positivity(grid)
+        self._anchors = None
         if log_closed is None:
-            self._build_anchors()
+            self._anchors = (_Anchors(lambda y: 1.0 / phi(y), self.x_upper)
+                             if _anchors is None else _anchors)
         if validate:
+            grid = validation_grid(self.x_upper)
+            self._validate_positivity(grid)
             self._validate(grid)
 
     # -- construction helpers -------------------------------------------
-
-    def _build_anchors(self):
-        hi_exp = 3
-        if math.isfinite(self.x_upper):
-            hi_exp = min(hi_exp, int(math.floor(math.log10(self.x_upper))))
-        xs = [10.0 ** k for k in range(-12, hi_exp + 1)]
-        if 1.0 not in xs:
-            xs.append(1.0)
-        xs = sorted(set(xs))
-        vals = {1.0: 0.0}
-        i1 = xs.index(1.0)
-        acc = 0.0
-        for i in range(i1, len(xs) - 1):
-            acc += integrate(lambda y: 1.0 / self._phi(y), xs[i], xs[i + 1], _LOG_TOL)
-            vals[xs[i + 1]] = acc
-        acc = 0.0
-        lo_stop = 0
-        for i in range(i1, 0, -1):
-            try:
-                seg = integrate(lambda y: 1.0 / self._phi(y),
-                                xs[i - 1], xs[i], _LOG_TOL)
-            except (ZeroDivisionError, OverflowError):
-                # generator underflows below this anchor; the log is
-                # effectively divergent there, stop caching
-                lo_stop = i
-                break
-            acc -= seg
-            vals[xs[i - 1]] = acc
-        xs = xs[lo_stop:]
-        self._anchor_x = xs
-        self._anchor_v = [vals[x] for x in xs]
 
     def _validate_positivity(self, grid):
         with np.errstate(all="ignore"):
@@ -232,10 +269,9 @@ class Deformation:
                 f"{self.name}: log_phi undefined for x >= {self.x_upper}")
         if self.log_closed is not None:
             return self.log_closed(x)
-        xs, vs = self._anchor_x, self._anchor_v
-        i = bisect.bisect_right(xs, x) - 1
-        i = max(0, min(i, len(xs) - 1))
-        return vs[i] + integrate(lambda y: 1.0 / self._phi(y), xs[i], x, _LOG_TOL)
+        a = self._anchors
+        i = a.anchor(x)
+        return a.vs[i] + integrate(a.inv_phi, a.xs[i], x, _LOG_TOL)
 
     def _log_array(self, x):
         x = np.asarray(x, dtype=float)
@@ -283,12 +319,14 @@ class Deformation:
 
     def _invert_log(self, y):
         if self.log_closed is None:
-            xs, vs = self._anchor_x, self._anchor_v
+            xs, vs = self._anchors.reach(y)
         else:
             xs = validation_grid(self.x_upper).tolist()
             vs = self.log(np.array(xs)).tolist()
         i = bisect.bisect_left(vs, y)
         if 0 < i < len(vs):
+            if self.log_closed is None:
+                return self._newton_log(y, xs[i - 1], vs[i - 1], xs[i], vs[i])
             lo, hi = xs[i - 1], xs[i]
         elif i == 0:
             lo, hi = xs[0], xs[0]
@@ -304,6 +342,35 @@ class Deformation:
                     raise RangeError(f"{self.name}: exp_phi({y}) out of range")
         return find_root(lambda x: self.log(x) - y, lo, hi,
                          Tolerance(abs_tol=1e-14, rel_tol=1e-12))
+
+    def _newton_log(self, y, a, log_a, b, log_b):
+        """The x in [a, b] with log(x) = y, for anchors with log_a < y <=
+        log_b.  Newton steps x += (y - L) phi(x), since log' = 1/phi, carry
+        L = log(x) along by integrating 1/phi over each step only; a step
+        that leaves the bracket is replaced by bisection.  The seed
+        interpolates between the anchors in log x, exact for log = c ln x,
+        and its log is integrated from the anchor nearer to y in value, so
+        that a far anchor's large log cannot cancel against the integral."""
+        inv_phi = self._anchors.inv_phi
+        t = (y - log_a) / (log_b - log_a)
+        x = a * (b / a) ** t
+        if t < 0.5:
+            L = log_a + integrate(inv_phi, a, x, _LOG_TOL)
+        else:
+            L = log_b + integrate(inv_phi, b, x, _LOG_TOL)
+        for _ in range(100):
+            if L < y:
+                a = x
+            else:
+                b = x
+            x_new = x + (y - L) * self._phi(x)
+            if not (a <= x_new <= b):
+                x_new = 0.5 * (a + b)
+            if abs(x_new - x) <= 1e-14 + 1e-13 * abs(x):
+                return x_new
+            L += integrate(inv_phi, x, x_new, _LOG_TOL)
+            x = x_new
+        raise ConvergenceError(f"{self.name}: exp_phi({y}) did not converge")
 
     def __repr__(self):
         return f"Deformation({self.name})"
@@ -358,9 +425,8 @@ def chi_dual(d: Deformation) -> Deformation:
                        params=d.params, x_upper=d.x_upper, validate=False)
 
 
-def _probe_limit(f, probes, diverging_sign):
+def _probe_limit(vals, diverging_sign):
     """Numerically classify lim of a monotone sequence of integrals."""
-    vals = [f(t) for t in probes]
     d1 = abs(vals[1] - vals[0])
     d2 = abs(vals[2] - vals[1])
     if d2 > 0.5 * d1 and d2 > 1e-8:
@@ -384,19 +450,32 @@ def exp_of_log(d: Deformation) -> Deformation:
         # diverges anyway, and the clamp keeps the probes finite
         return math.exp(min(-d.log(y), 700.0))
 
-    lower = _probe_limit(
-        lambda e: -integrate(inv_xi, e, 1.0, _LOG_TOL),
-        [1e-4, 1e-7, 1e-10], -1.0)
+    # xi's anchor table is built here and handed to its Deformation: the
+    # range limits are read off its decade anchors (log_xi at 1e-4, 1e-7,
+    # 1e-10 and at the top anchor), so no decade is integrated twice.
+    table = _Anchors(lambda y: 1.0 / xi(y), d.x_upper)
+
+    def log_xi_below(e):
+        i = table.anchor(e)
+        if table.xs[i] == e:
+            return table.vs[i]
+        # the table stops short where xi underflows
+        return -integrate(inv_xi, e, 1.0, _LOG_TOL)
+
+    lower = _probe_limit([log_xi_below(e) for e in (1e-4, 1e-7, 1e-10)], -1.0)
+    top = table.anchor(table.xs[-1])
+    upper = table.vs[top]
     if math.isfinite(d.x_upper):
-        upper = integrate(inv_xi, 1.0, d.x_upper * (1 - 1e-12), _LOG_TOL)
+        upper += integrate(inv_xi, table.xs[top], d.x_upper * (1 - 1e-12),
+                           _LOG_TOL)
     else:
-        upper = _probe_limit(
-            lambda t: integrate(inv_xi, 1.0, t, _LOG_TOL),
-            [1e3, 1e6, 1e9], 1.0)
+        at_1e6 = upper + integrate(inv_xi, 1e3, 1e6, _LOG_TOL)
+        at_1e9 = at_1e6 + integrate(inv_xi, 1e6, 1e9, _LOG_TOL)
+        upper = _probe_limit([upper, at_1e6, at_1e9], 1.0)
 
     out = Deformation(f"exp_of_log({d.name})", xi, xi_prime, params=d.params,
                       log_lower_limit=lower, log_upper_limit=upper,
-                      x_upper=d.x_upper, validate=False)
+                      x_upper=d.x_upper, validate=False, _anchors=table)
 
     for x in validation_grid(min(d.x_upper, 1e3))[::4]:
         if abs(x - 1.0) < 1e-3:

@@ -45,10 +45,6 @@ class DualityReport:
     grid: list = field(default_factory=list)
     conformal_factor: list | None = None
 
-    @property
-    def ok(self) -> bool:
-        return math.isfinite(self.max_rel_residual)
-
 
 def _report(lhs_label, rhs_label, pairs, grid=None, conformal=None):
     abs_res = 0.0

@@ -236,7 +236,6 @@ def integrate(f, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> float:
         if mid == lo or mid == hi:
             # Interval at machine resolution; accept its estimate as-is.
             total_err -= e
-            total_err += 0.0
             heapq.heappush(heap, (0.0, lo, hi, v, 0.0))
             continue
         v1, e1 = _gk15(f, lo, mid)

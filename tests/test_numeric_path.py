@@ -1,0 +1,298 @@
+"""The numeric log/exp path: the lazily filled decade-anchor table, the
+range limits exp_of_log reads off it, and Newton inversion inside it."""
+
+import bisect
+import math
+import random
+import sys
+import threading
+import warnings
+
+import mpmath
+import numpy as np
+import pytest
+
+from phigeo import deform
+from phigeo.deform import Deformation, chi_dual, exp_of_log
+from phigeo.errors import RangeError
+from phigeo.families import cd_family, identity, tsallis
+from phigeo.specfun import integrate
+
+TOL = deform._LOG_TOL
+
+
+def quiet(fn, *a, **k):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return fn(*a, **k)
+
+
+def sqrt_generator():
+    """phi = sqrt(x) given numerically: log = 2(sqrt(x) - 1) > -2."""
+    return Deformation("sqrt", math.sqrt, lambda x: 0.5 / math.sqrt(x),
+                       validate=False)
+
+
+def eager_anchors(d):
+    """The table as built eagerly at construction before it became lazy:
+    all decades upward from 1, then downward until an integrand raises."""
+    hi_exp = 3
+    if math.isfinite(d.x_upper):
+        hi_exp = min(hi_exp, int(math.floor(math.log10(d.x_upper))))
+    xs = sorted(set([10.0 ** k for k in range(-12, hi_exp + 1)] + [1.0]))
+    f = lambda y: 1.0 / d._phi(y)
+    vals = {1.0: 0.0}
+    i1 = xs.index(1.0)
+    acc = 0.0
+    for i in range(i1, len(xs) - 1):
+        acc += integrate(f, xs[i], xs[i + 1], TOL)
+        vals[xs[i + 1]] = acc
+    acc = 0.0
+    lo_stop = 0
+    for i in range(i1, 0, -1):
+        try:
+            seg = integrate(f, xs[i - 1], xs[i], TOL)
+        except (ZeroDivisionError, OverflowError):
+            lo_stop = i
+            break
+        acc -= seg
+        vals[xs[i - 1]] = acc
+    xs = xs[lo_stop:]
+    return xs, [vals[x] for x in xs]
+
+
+def old_limits(d):
+    """exp_of_log's range limits as computed before the table was shared:
+    every probe a from-scratch integral of the clamped 1/xi."""
+    inv_xi = lambda y: math.exp(min(-d.log(y), 700.0))
+
+    def probe(f, points, sign):
+        v = [f(t) for t in points]
+        d1, d2 = abs(v[1] - v[0]), abs(v[2] - v[1])
+        if d2 > 0.5 * d1 and d2 > 1e-8:
+            return sign * math.inf
+        return v[2] + (v[2] - v[1])
+
+    lower = probe(lambda e: -integrate(inv_xi, e, 1.0, TOL),
+                  [1e-4, 1e-7, 1e-10], -1.0)
+    if math.isfinite(d.x_upper):
+        upper = integrate(inv_xi, 1.0, d.x_upper * (1 - 1e-12), TOL)
+    else:
+        upper = probe(lambda t: integrate(inv_xi, 1.0, t, TOL),
+                      [1e3, 1e6, 1e9], 1.0)
+    return lower, upper
+
+
+def close(a, b, rel):
+    if math.isinf(a) or math.isinf(b):
+        return a == b
+    return abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+@pytest.fixture
+def integrate_calls(monkeypatch):
+    """Counts deform's quadrature calls; find_root must not be reached."""
+    calls = [0]
+
+    def counted(*a, **k):
+        calls[0] += 1
+        return integrate(*a, **k)
+
+    def no_root(*a, **k):
+        raise AssertionError("find_root called inside the anchor table")
+
+    monkeypatch.setattr(deform, "integrate", counted)
+    monkeypatch.setattr(deform, "find_root", no_root)
+    return calls
+
+
+LAZY_CASES = {
+    "exp_of_log(tsallis(0.5))": lambda: exp_of_log(tsallis(0.5)),
+    "chi_dual(cd(0.7,0.4))": lambda: chi_dual(quiet(cd_family, 0.7, 0.4)),
+    "x^2 below x_upper=50": lambda: Deformation(
+        "sq", lambda x: x * x, lambda x: 2.0 * x, x_upper=50.0,
+        validate=False),
+    # the downward fill stops at 1e-2: xi underflows to 0 below ~1.3e-3
+    "exp_of_log(tsallis(2))": lambda: exp_of_log(tsallis(2.0)),
+}
+
+
+class TestLazyAnchors:
+    @pytest.mark.parametrize("name", sorted(LAZY_CASES))
+    @pytest.mark.parametrize("order_seed", [1, 2])
+    def test_values_match_eager_table_in_any_order(self, name, order_seed):
+        d = LAZY_CASES[name]()
+        xs_ref, vs_ref = eager_anchors(d)
+        table = d._anchors
+        queries = [x for x in np.geomspace(3e-13, 0.9 * min(d.x_upper, 1e3), 41)
+                   .tolist() + table.xs if x < d.x_upper]
+        random.Random(order_seed).shuffle(queries)
+        for x in queries:
+            i = max(bisect.bisect_right(xs_ref, x) - 1, 0)
+            try:
+                ref = vs_ref[i] + integrate(lambda y: 1.0 / d._phi(y),
+                                            xs_ref[i], x, TOL)
+            except (ZeroDivisionError, OverflowError):
+                with pytest.raises((ZeroDivisionError, OverflowError)):
+                    d.log(x)
+                continue
+            assert d.log(x) == ref
+        filled = table.xs[table.lo:table.hi + 1]
+        assert filled == xs_ref
+        assert table.vs[table.lo:table.hi + 1] == vs_ref
+
+    def test_concurrent_fills_match_eager_table(self):
+        d = chi_dual(tsallis(0.5))  # nothing is filled at construction
+        xs_ref, vs_ref = eager_anchors(d)
+        points = np.geomspace(3e-13, 900.0, 30).tolist()
+        errors = []
+        start = threading.Barrier(6)
+
+        def work(seed):
+            order = points[:]
+            random.Random(seed).shuffle(order)
+            try:
+                start.wait(timeout=30)
+                for x in order:
+                    back = d.exp(d.log(x))
+                    if abs(back - x) > 1e-12 * max(x, 1.0):
+                        errors.append((x, back))
+            except Exception as exc:  # reported through the assertion below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(s,)) for s in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        t = d._anchors
+        assert t.xs[t.lo:t.hi + 1] == xs_ref
+        assert t.vs[t.lo:t.hi + 1] == vs_ref
+
+    def test_construction_integrates_nothing(self, integrate_calls):
+        Deformation("numlog", lambda x: x, lambda x: 1.0)
+        chi_dual(tsallis(0.5))
+        assert integrate_calls[0] == 0
+
+    def test_queries_fill_only_the_decades_they_need(self, integrate_calls):
+        d = Deformation("numlog", lambda x: x, lambda x: 1.0)
+        d.log(0.5)
+        assert integrate_calls[0] == 2  # the decade (0.1, 1) and (0.1, 0.5)
+        d.log(0.2)
+        assert integrate_calls[0] == 3
+        t = d._anchors
+        assert t.xs[t.lo] == 0.1 and t.xs[t.hi] == 1.0
+
+    def test_deformation_attributes_unchanged_by_queries(self):
+        d = exp_of_log(tsallis(0.5))
+        before = dict(vars(d))
+        d.log(1e-6)
+        d.exp(1.2)
+        d.exp(np.array([-2.0, 0.3]))
+        assert vars(d).keys() == before.keys()
+        assert all(vars(d)[k] is v for k, v in before.items())
+
+
+class TestExpOfLogLimits:
+    @pytest.mark.parametrize("name, ctor", [
+        ("identity", identity),
+        ("tsallis(0.5)", lambda: tsallis(0.5)),
+        ("tsallis(2)", lambda: tsallis(2.0)),
+        ("cd(0.8,0.5)", lambda: quiet(cd_family, 0.8, 0.5)),
+    ])
+    def test_limits_match_from_scratch_probes(self, name, ctor):
+        d = ctor()
+        xi = quiet(exp_of_log, d)
+        lower, upper = old_limits(d)
+        assert close(xi.log_lower_limit, lower, 1e-12)
+        if name == "tsallis(0.5)":
+            # The old from-scratch probe over (1, 1e6) missed the mass near
+            # 1 and read ~0, which set the limit to -1.4e-52; the decade
+            # sum gives the true limit, integral_1^inf e^(2 - 2 sqrt(y)) dy
+            # = 3/2, and the probe at 1e3 still agrees.
+            assert abs(upper) < 1e-40
+            assert close(xi.log_upper_limit, 1.5, 1e-12)
+            inv_xi = lambda y: math.exp(-d.log(y))
+            assert close(xi.log(999.0), integrate(inv_xi, 1.0, 999.0, TOL),
+                         1e-12)
+        else:
+            assert close(xi.log_upper_limit, upper, 1e-12)
+
+    def test_tsallis_half_xi_inverts_above_one(self):
+        # with the upper limit at ~0, every y > 0 used to raise RangeError
+        xi = exp_of_log(tsallis(0.5))
+        for x in (1.5, 3.0, 20.0):
+            assert abs(xi.exp(xi.log(x)) - x) < 1e-10 * x
+
+    def test_tsallis_07_upper_limit_is_finite(self):
+        # integral_1^inf exp(-(y^0.3 - 1)/0.3) dy, which the from-scratch
+        # probes classified as divergent.  The tail beyond the top anchor
+        # (~1e-8 of the total) comes from one adaptive integral over
+        # (1e3, 1e6), which resolves it to about 1e-8 relative.
+        xi = exp_of_log(tsallis(0.7))
+        ref = mpmath.quad(lambda y: mpmath.exp(-(y ** 0.3 - 1) / 0.3),
+                          [1, 10, 100, 1e3, 1e4, 1e6, 1e9, mpmath.inf])
+        assert close(xi.log_upper_limit, float(ref), 1e-7)
+
+
+NEWTON_CASES = {
+    "numeric ln": lambda: Deformation("numlog", lambda x: x, lambda x: 1.0),
+    "numeric sqrt": sqrt_generator,
+    "chi_dual(tsallis(0.5))": lambda: chi_dual(tsallis(0.5)),
+    "chi_dual(tsallis(2))": lambda: chi_dual(tsallis(2.0)),
+    "exp_of_log(identity)": lambda: exp_of_log(identity()),
+}
+
+
+class TestNewtonInversion:
+    @pytest.mark.parametrize("name", sorted(NEWTON_CASES))
+    def test_round_trip_within_budget(self, name, integrate_calls):
+        d = NEWTON_CASES[name]()
+        for x in np.geomspace(1e-9, 1e2, 67).tolist():
+            y = d.log(x)
+            before = integrate_calls[0]
+            back = d.exp(y)
+            assert integrate_calls[0] - before <= 12
+            assert abs(back - x) <= 1e-12 * max(x, 1.0)
+
+    def test_far_anchor_does_not_cancel(self):
+        # xi = exp(1 - 1/x): log_xi(1e-2) ~ -1e39, so an inversion that
+        # carried log_xi up from that anchor would lose every digit.  The
+        # answer is checked through u = 1/y: -y = integral_1^(1/x) e^(u-1)/u^2.
+        xi = exp_of_log(tsallis(2.0))
+        x = xi.exp(-1e5)
+        u = 1.0 / mpmath.mpf(x)
+        got = mpmath.quad(lambda t: mpmath.exp(t - 1) / t ** 2,
+                          mpmath.linspace(1, u, 20))
+        assert close(float(got), 1e5, 1e-9)
+
+
+class TestOutsideTheTable:
+    @pytest.mark.parametrize("x", [1.5, 2.5, 3.1])
+    def test_chi_of_cd_above_top_anchor_raises(self, x):
+        # chi's table stops at 1 (x_upper ~ 3.49); the upward search steps
+        # past x_upper at once
+        chi = chi_dual(quiet(cd_family, 0.8, 0.5))
+        with pytest.raises(RangeError, match="out of range"):
+            chi.exp(chi.log(x))
+
+    def test_below_table_bracket_search(self):
+        d = sqrt_generator()
+        y = -1.9999999  # below log(1e-12) = -1.999998, above the limit -2
+        x = d.exp(y)
+        assert x == 5.739590531347522e-15
+        # find_root's absolute tolerance, far above x = (1 + y/2)^2 here
+        assert abs(x - (1.0 + 0.5 * y) ** 2) < 1e-14
+
+    @pytest.mark.parametrize("y", [-2.0, -2.5, -1e300])
+    def test_below_table_cutoff(self, y):
+        # the log is bounded below by -2 but the declared lower limit is
+        # -inf: the search passes x = 1e-300 and returns the cutoff 0
+        assert sqrt_generator().exp(y) == 0.0
