@@ -220,7 +220,7 @@ def cmd_figure(args) -> int:
                 if not (math.isfinite(gN) and math.isfinite(gA)):
                     return (math.nan, math.nan)
                 return (gN, gA)
-            except Exception:
+            except PhigeoError:
                 return (math.nan, math.nan)
 
         with warnings.catch_warnings():

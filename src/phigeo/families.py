@@ -169,7 +169,11 @@ def cd_params(c: float, d: float, r: float | None = None) -> CdParams:
                 f"cd_params: 1-(1-c)r = 0 at (c,d,r)=({c},{d},{r})")
         A = c * d * r / k
         beta = (1.0 - c) * r / k
-        B = beta * math.exp(beta)
+        try:
+            B = beta * math.exp(beta)
+        except OverflowError:
+            raise DomainError(f"cd_params: B = beta*exp(beta) overflows at "
+                              f"(c,d,r)=({c},{d},{r})") from None
     return CdParams(c=c, d=d, r=r, A=A, B=B, branch=branch)
 
 
@@ -294,6 +298,10 @@ def cd_family(c: float, d: float, r: float | None = None) -> Deformation:
     x_upper = math.inf
     if a > 0.0:
         x_upper = math.exp((1.0 - u_min) / a)
+    if not x_upper > 1.0:
+        raise DomainError(
+            f"cd_family: domain sup x_upper={x_upper:.3g} not above 1 for "
+            f"(c,d,r)=({c},{d},{r})")
     log_upper = r
     if u_min > 0.0 and math.isfinite(x_upper):
         log_upper = r - r * x_upper ** (c - 1.0) * u_min ** d

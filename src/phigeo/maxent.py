@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .deform import Deformation, ProbVec, _phi_values, escort
 from .errors import (BoundaryError, ConvergenceError, DomainError,
@@ -215,21 +214,34 @@ def varphi_dual(fam: PhiExpFamily) -> dict:
 def _hull_check(E: ConfigMatrix, targets: np.ndarray):
     """Require the targets strictly inside the convex hull of the rows of E.
 
-    Solved as an LP maximizing the smallest weight of a representing
-    mixture; a non-positive optimum means the targets sit outside or on a
-    face reachable only by boundary distributions."""
+    First a certificate: w, the mixture nearest the uniform pmf among those
+    that represent the targets (A w = b with A = [E^T; 1^T], b = [t; 1]).
+    If every weight exceeds the LP's margin and the constraints hold to
+    rounding, w is feasible for the LP below with objective above that
+    margin, so the targets pass.  Otherwise the LP decides: it maximizes the
+    smallest weight of a representing mixture; a non-positive optimum means
+    the targets sit outside or on a face reachable only by boundary
+    distributions."""
     n, m = E.E.shape
+    A = np.vstack([E.E.T, np.ones(n)])
+    b = np.concatenate([targets, [1.0]])
+    u = np.full(n, 1.0 / n)
+    w = u + np.linalg.lstsq(A, b - A @ u, rcond=None)[0]
+    if (np.min(w) > 1e-10 and np.max(np.abs(A @ w - b))
+            <= 1e-12 * max(1.0, np.max(np.abs(b)))):
+        return
+    # the only use of scipy.optimize: importing it here keeps it off
+    # `import phigeo`
+    from scipy.optimize import linprog
+
     # variables: w_1..w_n, t ; maximize t
     c = np.zeros(n + 1)
     c[-1] = -1.0
-    A_eq = np.zeros((m + 1, n + 1))
-    A_eq[:m, :n] = E.E.T
-    A_eq[m, :n] = 1.0
-    b_eq = np.concatenate([targets, [1.0]])
+    A_eq = np.column_stack([A, np.zeros(m + 1)])
     A_ub = np.zeros((n, n + 1))
     A_ub[:, :n] = -np.eye(n)
     A_ub[:, -1] = 1.0
-    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(n), A_eq=A_eq, b_eq=b_eq,
+    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(n), A_eq=A_eq, b_eq=b,
                   bounds=[(None, None)] * n + [(None, None)], method="highs")
     if not res.success or -res.fun <= 1e-10:
         raise InfeasibleTargetError(
@@ -274,7 +286,11 @@ def _escort_moments(fam: PhiExpFamily):
     return E.T @ P, E.T @ ((G - P[:, None] * G.sum(axis=0)) / h)
 
 
-def _fit(d: Deformation, E: ConfigMatrix, targets, moments, label):
+def _fit(d: Deformation, E: ConfigMatrix, targets, moments, label,
+         on_stall=None):
+    """Damped Newton steps on the moment residual from theta = 0, each
+    halved until the largest residual drops.  When no halving does,
+    on_stall(d, E, targets, theta, label) takes over if given."""
     targets = np.asarray(targets, dtype=float).reshape(-1)
     if targets.shape[0] != E.n_constraints:
         raise DomainError("target length does not match constraint count")
@@ -309,11 +325,63 @@ def _fit(d: Deformation, E: ConfigMatrix, targets, moments, label):
                 break
             lam *= 0.5
         else:
+            if on_stall is not None:
+                return on_stall(d, E, targets, theta, label)
             raise ConvergenceError(
                 f"{label}: damped Newton stalled at residual {norm:.3e}")
     if norm <= 1e-8:
         return fam
     raise ConvergenceError(f"{label}: residual {norm:.3e} after iteration budget")
+
+
+def _descend_massieu(d: Deformation, E: ConfigMatrix, targets, theta,
+                     label) -> PhiExpFamily:
+    """Escort-moment fit by descent on the convex function
+    F(theta) = -psi(theta) - theta . t, whose gradient is eta - t and whose
+    Hessian is the escort Jacobian; that Hessian is singular along the
+    directions that only move states held at the cutoff, where Newton steps
+    on the residual stall.  Each step solves with the Hessian plus |eta - t|
+    times the identity, so it is a descent direction, and is halved until F
+    drops by the Armijo fraction; once that drop is below the rounding of
+    F, it must lower the largest residual instead."""
+
+    def evaluate(th):
+        fam = normalize(d, E, th)
+        mom, jac = _escort_moments(fam)
+        return fam, mom - targets, jac, -fam.psi - th @ targets
+
+    fam, r, H, F = evaluate(theta)
+    eye = np.eye(theta.shape[0])
+    for _ in range(100):
+        norm = np.max(np.abs(r))
+        if norm <= 1e-10:
+            return fam
+        step = np.linalg.solve(0.5 * (H + H.T) + np.linalg.norm(r) * eye, -r)
+        slope = r @ step
+        if not slope < 0.0:
+            step, slope = -r, -(r @ r)
+        lam = 1.0
+        for _ in range(60):
+            try:
+                fam_new, r_new, H_new, F_new = evaluate(theta + lam * step)
+            except (NoNormalizationError, RangeError, OverflowError):
+                lam *= 0.5
+                continue
+            if (F_new <= F + 1e-4 * lam * slope
+                    or (-lam * slope <= 1e-13 * max(1.0, abs(F))
+                        and np.max(np.abs(r_new)) < norm)):
+                break
+            lam *= 0.5
+        else:
+            raise ConvergenceError(
+                f"{label}: descent on -psi - theta.t stalled at residual "
+                f"{norm:.3e}")
+        theta = theta + lam * step
+        fam, r, H, F = fam_new, r_new, H_new, F_new
+    if np.max(np.abs(r)) <= 1e-8:
+        return fam
+    raise ConvergenceError(
+        f"{label}: residual {np.max(np.abs(r)):.3e} after iteration budget")
 
 
 def fit_linear_moments(d: Deformation, E: ConfigMatrix, targets) -> PhiExpFamily:
@@ -325,4 +393,5 @@ def fit_linear_moments(d: Deformation, E: ConfigMatrix, targets) -> PhiExpFamily
 def fit_escort_moments(d: Deformation, E: ConfigMatrix, targets) -> PhiExpFamily:
     """theta such that E^T . escort(pmf) = targets (canonical entropy is
     maximal under escort moment constraints)."""
-    return _fit(d, E, targets, _escort_moments, "fit_escort_moments")
+    return _fit(d, E, targets, _escort_moments, "fit_escort_moments",
+                on_stall=_descend_massieu)

@@ -137,8 +137,7 @@ class TestFigures:
             assert (open(os.path.join(a, name), "rb").read()
                     == open(os.path.join(b, name), "rb").read())
 
-    def test_fig2_grid(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("PHIGEO_THREADS", "2")
+    def test_fig2_grid(self, capsys, tmp_path):
         out_dir = str(tmp_path / "f2")
         code, _ = run(capsys, "figure", "--which", "fig2", "--out", out_dir)
         assert code == 0

@@ -158,6 +158,20 @@ class TestCdFamily:
             with pytest.raises(DomainError):
                 cd_family(1.2, 0.5)
 
+    def test_overflowing_lambert_argument_rejected(self):
+        # beta * exp(beta) overflows for small c and d just above 0
+        with pytest.raises(DomainError, match="overflows"):
+            cd_params(0.2025, 0.0025)
+        with pytest.raises(DomainError, match="overflows"):
+            quiet(cd_family, 0.2025, 0.0025)
+
+    @pytest.mark.parametrize("c,d", [(1.0025, 1.8675), (1.0025, 1.8475)])
+    def test_domain_sup_not_above_one_rejected(self, c, d):
+        # x_upper underflows to 0 (once a geomspace ValueError) or to
+        # ~3e-321 (once a family whose every log raised)
+        with pytest.raises(DomainError, match="x_upper"):
+            quiet(cd_family, c, d)
+
     def test_cutoff_below_lower_limit(self):
         dd = quiet(cd_family, 0.7, 0.4)
         # log saturates at r as x -> 0, so exp returns 0 below that

@@ -7,8 +7,8 @@ import pytest
 import phigeo.geometry as geo
 import phigeo.maxent as maxent
 from phigeo.deform import ProbVec, escort
-from phigeo.errors import (BoundaryError, DomainError, InfeasibleTargetError,
-                           NoNormalizationError)
+from phigeo.errors import (BoundaryError, ConvergenceError, DomainError,
+                           InfeasibleTargetError, NoNormalizationError)
 from phigeo.families import cd_family, identity, stretched, tsallis
 from phigeo.maxent import (ConfigMatrix, eta_coords, fit_escort_moments,
                            fit_linear_moments, massieu, normalize, psi_forms,
@@ -25,6 +25,7 @@ def quiet(fn, *a, **k):
 E2 = ConfigMatrix(np.array([[0.0], [1.0]]))
 E3 = ConfigMatrix(np.array([[0.0], [1.0], [2.0]]))
 E32 = ConfigMatrix(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+E4 = ConfigMatrix(np.array([[0.0], [1.0], [2.0], [3.0]]))
 
 ALL_FAMILIES = [identity(), tsallis(0.5), tsallis(2.0),
                 quiet(stretched, 2.0), quiet(cd_family, 0.7, 0.4)]
@@ -335,3 +336,65 @@ class TestLargeFit:
             got = (E.E.T @ fam.pmf.probs if fit is fit_linear_moments
                    else eta_coords(fam))
             assert np.max(np.abs(got - targets)) <= 1e-8
+
+
+# Escort targets on which the damped Newton steps stall: their first step
+# leaves four or five of the eight states at tsallis(0.5)'s cutoff, where
+# the escort Jacobian is singular or nearly so.
+STALL_CASES = [
+    ([[1.4812976498368908, 0.9652250348221966, 0.7848234892856137],
+      [1.0164173875785543, -1.3997581279548579, -0.28571647916122866],
+      [-1.1186665614953575, 0.017129354527279497, 0.39306526422533467],
+      [0.23571813092905275, 0.5991377286395221, -0.5167186326403737],
+      [-0.7003277878208586, -0.8384871344219759, 0.3809131065130006],
+      [-0.09398328586040892, -1.210752178823382, 0.2729390339403837],
+      [-1.5592955816650873, 0.6837334239979894, -0.503288723653671],
+      [-0.9406602504217877, 0.9228885970339709, 0.33706891532913313]],
+     [0.32089645861365645, -0.6834075728460812, -0.13345561046615542]),
+    ([[-1.625415939448942, 0.5219499365756046, 1.2247097092134631],
+      [-1.3443174531751554, 0.8232153143190468, 0.032824667920856886],
+      [-1.002469431768867, 1.918028768926799, 1.4686744112389274],
+      [-0.988671427712031, 0.017925978455051093, -0.2989517147027147],
+      [-0.43695835204897754, -0.7482376179751675, -0.24222777161290607],
+      [1.2198545205217985, 1.70276786702821, 2.0025102192987694],
+      [0.11668304579999625, 0.14495627512339207, 0.6504198924565862],
+      [-0.607403465777299, 0.22124467356753733, -0.3720013398372643]],
+     [0.23589431648972406, 1.1410867105415587, 1.206634083351139]),
+]
+
+
+class TestEscortStall:
+    @pytest.mark.parametrize("case", range(len(STALL_CASES)))
+    def test_descent_takes_over(self, case):
+        E, t = (np.array(v) for v in STALL_CASES[case])
+        E = ConfigMatrix(E)
+        d = tsallis(0.5)
+        with pytest.raises(ConvergenceError, match="damped Newton stalled"):
+            maxent._fit(d, E, t, maxent._escort_moments, "escort")
+        fam = fit_escort_moments(d, E, t)
+        assert np.max(np.abs(maxent._escort_moments(fam)[0] - t)) <= 1e-10
+        assert np.sum(fam.pmf.probs == 0.0) > 0
+
+    @pytest.mark.parametrize("d", ALL_FAMILIES, ids=lambda d: d.name)
+    def test_descent_alone_agrees_with_newton(self, d):
+        rng = np.random.default_rng(31)
+        E = ConfigMatrix(rng.normal(size=(16, 2)))
+        t = E.E.T @ rng.dirichlet(np.full(16, 3.0))
+        ref = fit_escort_moments(d, E, t)
+        got = maxent._descend_massieu(d, E, t, np.zeros(2), "descent")
+        assert np.max(np.abs(got.theta - ref.theta)) < 1e-7
+        assert np.max(np.abs(maxent._escort_moments(got)[0] - t)) <= 1e-10
+
+    def test_descent_from_single_live_state(self):
+        # at theta = 20 only the last state is above tsallis(0.5)'s cutoff,
+        # so the escort Jacobian is exactly 0 and only the regularization
+        # gives a step
+        d = tsallis(0.5)
+        theta = np.array([20.0])
+        fam = normalize(d, E4, theta)
+        assert np.count_nonzero(fam.pmf.probs) == 1
+        assert not np.any(maxent._escort_moments(fam)[1])
+        got = maxent._descend_massieu(d, E4, np.array([1.2]), theta, "descent")
+        assert abs(maxent._escort_moments(got)[0][0] - 1.2) <= 1e-10
+        ref = fit_escort_moments(d, E4, [1.2])
+        assert np.max(np.abs(got.theta - ref.theta)) < 1e-7
