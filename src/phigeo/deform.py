@@ -110,9 +110,15 @@ class _Anchors:
                 self.lo = k - 1
 
     def anchor(self, x):
-        """Index of the anchor log(x) integrates from: the highest at or
-        below x, or the lowest reachable one when x lies below that."""
-        i = bisect.bisect_right(self.xs, x) - 1
+        """Index of the anchor log(x) integrates from: the one next to x on
+        the side of x = 1 (the highest at or below x for x >= 1, the lowest
+        at or above it for x < 1), or the lowest reachable one when x lies
+        below that.  The anchor's value and the integral then have the same
+        sign, so a large anchor value cannot cancel against the integral."""
+        if x >= 1.0:
+            i = bisect.bisect_right(self.xs, x) - 1
+        else:
+            i = bisect.bisect_left(self.xs, x)
         if not self.lo <= i <= self.hi:
             self._fill(i)
         return max(i, self.lo)
@@ -125,6 +131,45 @@ class _Anchors:
         while self.vs[self.lo] >= y and self.lo > self.floor:
             self._fill(self.lo - 1)
         return self.xs[self.lo:self.hi + 1], self.vs[self.lo:self.hi + 1]
+
+
+class _Limits:
+    """The range limits (lower, upper) of a deformed log, given as numbers."""
+
+    __slots__ = ("lower", "upper")
+
+    def __init__(self, lower, upper):
+        self.lower = float(lower)
+        self.upper = float(upper)
+
+
+class _ProbedLimits(_Limits):
+    """Range limits computed by a probe, a function returning the pair, on
+    the first read of either limit, under a lock, and written once.
+
+    Until then the slots are unset and a read falls through to __getattr__;
+    afterwards every read is a slot read.  A probe that raises leaves the
+    slots unset, so the next read probes again.  (A subclass, because a
+    class with __getattr__ makes every attribute read slower, and the exp
+    path of the closed families reads the given limits on each call.)
+    """
+
+    __slots__ = ("_probe", "_lock")
+
+    def __init__(self, probe):
+        self._probe = probe
+        self._lock = threading.Lock()
+
+    def __getattr__(self, name):
+        if name not in ("lower", "upper"):
+            raise AttributeError(name)
+        with self._lock:
+            if self._probe is not None:
+                lower, upper = self._probe()
+                self.upper = float(upper)
+                self.lower = float(lower)
+                self._probe = None
+        return object.__getattribute__(self, name)
 
 
 class ProbVec:
@@ -160,6 +205,12 @@ class ProbVec:
         return f"ProbVec({self.probs.tolist()}, interior={self.interior})"
 
 
+def require_interior(p: ProbVec, what: str):
+    """Raise BoundaryError unless every entry of p is positive."""
+    if not p.interior:
+        raise BoundaryError(f"{what} requires an interior probability vector")
+
+
 def uniform(n: int) -> ProbVec:
     return ProbVec(np.full(n, 1.0 / n))
 
@@ -172,7 +223,8 @@ class Deformation:
     the cutoff convention (0 below the lower range limit).  Closed forms are
     used when supplied; otherwise log integrates 1/phi from a lazily filled
     table of decade anchors and exp inverts it by Newton steps inside the
-    anchor bracket.  Immutable after construction (the table only fills).
+    anchor bracket.  Immutable after construction (the table, and range
+    limits given as a probe, only fill).
 
     ``phi``, ``phi_prime``, ``log`` and ``exp`` take a scalar (and return a
     float) or an ndarray (and return a new array of its shape).  With
@@ -186,15 +238,16 @@ class Deformation:
                  log_closed=None, exp_closed=None,
                  log_lower_limit=-math.inf, log_upper_limit=math.inf,
                  x_upper=math.inf, log_int0=None, validate=True,
-                 vectorized=False, _anchors=None):
+                 vectorized=False, _anchors=None, _probe_limits=None):
         self.name = name
         self.params = tuple(params)
         self._phi = phi
         self._phi_prime = phi_prime
         self.log_closed = log_closed
         self.exp_closed = exp_closed
-        self.log_lower_limit = float(log_lower_limit)
-        self.log_upper_limit = float(log_upper_limit)
+        self._limits = (_Limits(log_lower_limit, log_upper_limit)
+                        if _probe_limits is None
+                        else _ProbedLimits(_probe_limits))
         self.x_upper = float(x_upper)
         self.log_int0 = log_int0
         self.vectorized = vectorized
@@ -207,6 +260,17 @@ class Deformation:
             grid = validation_grid(self.x_upper)
             self._validate_positivity(grid)
             self._validate(grid)
+
+    @property
+    def log_lower_limit(self) -> float:
+        """The lower range limit of log: exp is 0 at or below it."""
+        return self._limits.lower
+
+    @property
+    def log_upper_limit(self) -> float:
+        """The upper range limit of log: exp raises RangeError at or above
+        it."""
+        return self._limits.upper
 
     # -- construction helpers -------------------------------------------
 
@@ -289,11 +353,12 @@ class Deformation:
             return self._exp_array(y)
         if math.isnan(y):
             raise DomainError("exp_phi: NaN input")
-        if y >= self.log_upper_limit:
+        limits = self._limits
+        if y >= limits.upper:
             raise RangeError(
                 f"{self.name}: exp_phi argument {y} at or above the upper "
-                f"range limit {self.log_upper_limit}")
-        if y <= self.log_lower_limit:
+                f"range limit {limits.upper}")
+        if y <= limits.lower:
             return 0.0
         if self.exp_closed is not None:
             return self.exp_closed(y)
@@ -303,13 +368,14 @@ class Deformation:
         y = np.asarray(y, dtype=float)
         if np.isnan(y).any():
             raise DomainError("exp_phi: NaN input")
+        limits = self._limits
         top = y.max(initial=-math.inf)
-        if top >= self.log_upper_limit:
+        if top >= limits.upper:
             raise RangeError(
                 f"{self.name}: exp_phi argument {top} at or above the upper "
-                f"range limit {self.log_upper_limit}")
+                f"range limit {limits.upper}")
         out = np.zeros(y.shape)
-        live = y > self.log_lower_limit
+        live = y > limits.lower
         if self.exp_closed is not None:
             with np.errstate(over="ignore"):  # the bracket search may overflow
                 out[live] = self._map(self.exp_closed, y[live])
@@ -437,7 +503,13 @@ def _probe_limit(vals, diverging_sign):
 def exp_of_log(d: Deformation) -> Deformation:
     """Build xi with xi(x) = exp(log_d(x)); its deformed log is
     integral_1^x exp(-log_d(y)) dy.  Warns when xi'' > xi'^2/xi (loss of
-    concavity of log_d) somewhere on the validation grid."""
+    concavity of log_d) somewhere on the validation grid.
+
+    Construction integrates nothing: xi's range limits, which take
+    quadrature over its whole range, are computed on the first read of
+    either limit (by exp, or through log_lower_limit/log_upper_limit), so
+    callers that need only xi and xi' never pay for them.  An error of
+    those probes surfaces at that first read."""
 
     def xi(x):
         return math.exp(d.log(x))
@@ -462,20 +534,23 @@ def exp_of_log(d: Deformation) -> Deformation:
         # the table stops short where xi underflows
         return -integrate(inv_xi, e, 1.0, _LOG_TOL)
 
-    lower = _probe_limit([log_xi_below(e) for e in (1e-4, 1e-7, 1e-10)], -1.0)
-    top = table.anchor(table.xs[-1])
-    upper = table.vs[top]
-    if math.isfinite(d.x_upper):
-        upper += integrate(inv_xi, table.xs[top], d.x_upper * (1 - 1e-12),
-                           _LOG_TOL)
-    else:
-        at_1e6 = upper + integrate(inv_xi, 1e3, 1e6, _LOG_TOL)
-        at_1e9 = at_1e6 + integrate(inv_xi, 1e6, 1e9, _LOG_TOL)
-        upper = _probe_limit([upper, at_1e6, at_1e9], 1.0)
+    def limits():
+        lower = _probe_limit([log_xi_below(e) for e in (1e-4, 1e-7, 1e-10)],
+                             -1.0)
+        top = table.anchor(table.xs[-1])
+        upper = table.vs[top]
+        if math.isfinite(d.x_upper):
+            upper += integrate(inv_xi, table.xs[top], d.x_upper * (1 - 1e-12),
+                               _LOG_TOL)
+        else:
+            at_1e6 = upper + integrate(inv_xi, 1e3, 1e6, _LOG_TOL)
+            at_1e9 = at_1e6 + integrate(inv_xi, 1e6, 1e9, _LOG_TOL)
+            upper = _probe_limit([upper, at_1e6, at_1e9], 1.0)
+        return lower, upper
 
     out = Deformation(f"exp_of_log({d.name})", xi, xi_prime, params=d.params,
-                      log_lower_limit=lower, log_upper_limit=upper,
-                      x_upper=d.x_upper, validate=False, _anchors=table)
+                      x_upper=d.x_upper, validate=False, _anchors=table,
+                      _probe_limits=limits)
 
     for x in validation_grid(min(d.x_upper, 1e3))[::4]:
         if abs(x - 1.0) < 1e-3:

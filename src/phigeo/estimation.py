@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deform import ProbVec, escort, exp_of_log, h_phi
-from .errors import BoundaryError, DomainError
+from .deform import ProbVec, escort, exp_of_log, h_phi, require_interior
+from .errors import DomainError
 from .geometry import DualityReport, MetricMatrix, metric_amari, metric_naudts, _report
 from .maxent import PhiExpFamily, normalize, pmf_jacobian
 from .specfun import GRAD_STEP
@@ -40,24 +40,19 @@ class CRReport:
     f_second: float
 
 
-def _require_interior(p: ProbVec, what: str):
-    if not p.interior:
-        raise BoundaryError(f"{what} requires an interior distribution")
-
-
 def dp_dtheta(fam: PhiExpFamily) -> np.ndarray:
     """Analytic Jacobian of the pmf in theta: phi(p_i) (E_ij - eta_j).
 
     Differentiating p_i = exp_phi(psi + theta . E_i) and using that the
     normalizer has gradient -eta gives this form; every column sums to 0.
     """
-    _require_interior(fam.pmf, "dp_dtheta")
+    require_interior(fam.pmf, "dp_dtheta")
     return pmf_jacobian(fam.E.E, fam.d.phi(fam.pmf.probs))
 
 
 def fisher_general(fam: PhiExpFamily, P: ProbVec) -> MetricMatrix:
     """I_kl = sum_i (1/P_i) dp_i/dtheta_k dp_i/dtheta_l, theta chart."""
-    _require_interior(P, "fisher_general")
+    require_interior(P, "fisher_general")
     if P.probs.shape[0] != fam.E.n_states:
         raise DomainError("reference distribution length mismatch")
     J = dp_dtheta(fam)
@@ -68,7 +63,7 @@ def fisher_general(fam: PhiExpFamily, P: ProbVec) -> MetricMatrix:
 def regularity_check(fam: PhiExpFamily, P: ProbVec) -> float:
     """max_k |sum_i P_i (1/P_i) dp_i/dtheta_k|; zero by normalization,
     evaluated explicitly as a sanity gate before the variance bound."""
-    _require_interior(P, "regularity_check")
+    require_interior(P, "regularity_check")
     return float(np.max(np.abs(dp_dtheta(fam).sum(axis=0))))
 
 
@@ -93,7 +88,7 @@ def cr_report(fam: PhiExpFamily, P: ProbVec, est: Estimator,
     f'' is the theta_l derivative of the plain mean of c_k along the
     family; the bound is tight when P is the escort distribution and
     c = E."""
-    _require_interior(P, "cr_report")
+    require_interior(P, "cr_report")
     if regularity_check(fam, P) > 1e-10:
         raise DomainError("regularity condition violated")
     f2 = _moment_curvature(fam, est, k, l)
@@ -119,7 +114,7 @@ def _pullback(fam: PhiExpFamily, simplex_metric: MetricMatrix) -> np.ndarray:
 def naudts_identity_check(fam: PhiExpFamily) -> DualityReport:
     """fisher_general at the escort distribution equals h_phi times the
     theta-pullback of the linear-constraint simplex metric."""
-    _require_interior(fam.pmf, "naudts_identity_check")
+    require_interior(fam.pmf, "naudts_identity_check")
     d, p = fam.d, fam.pmf
     lhs = fisher_general(fam, escort(d, p)).entries
     rhs = h_phi(d, p) * _pullback(fam, metric_naudts(d, p))
@@ -138,7 +133,7 @@ def amari_identity_check(fam: PhiExpFamily) -> DualityReport:
     end to end.  Note the reference distribution achieving this is the
     phi-escort, not the xi-escort; the xi-escort weights would break the
     identity for any non-self-dual generator."""
-    _require_interior(fam.pmf, "amari_identity_check")
+    require_interior(fam.pmf, "amari_identity_check")
     d, p = fam.d, fam.pmf
     xi = exp_of_log(d)
     lhs = h_phi(xi, p) * _pullback(fam, metric_amari(xi, p))

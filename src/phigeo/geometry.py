@@ -9,8 +9,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .deform import Deformation, ProbVec, escort, exp_of_log, h_phi, uniform
-from .errors import BoundaryError, BranchError, DivergentIntegralError
+from .deform import (Deformation, ProbVec, escort, exp_of_log, h_phi,
+                     require_interior, uniform)
+from .errors import BranchError, DivergentIntegralError
 from .families import CdParams, cd_family
 from .specfun import Tolerance, integrate, numeric_diff, upper_gamma
 
@@ -60,11 +61,6 @@ def _report(lhs_label, rhs_label, pairs, grid=None, conformal=None):
                          grid=list(grid or []), conformal_factor=conformal)
 
 
-def _require_interior(p: ProbVec, what: str):
-    if not p.interior:
-        raise BoundaryError(f"{what} requires an interior probability vector")
-
-
 # ---------------------------------------------------------------------------
 # Entropies
 
@@ -98,7 +94,7 @@ def entropy_naudts(d: Deformation, p: ProbVec) -> float:
 def entropy_amari(d: Deformation, p: ProbVec) -> float:
     """Escort-constraint (Amari, canonical) entropy:
     -(1/h_phi) sum_j phi(p_j) log_phi(p_j)."""
-    _require_interior(p, "entropy_amari")
+    require_interior(p, "entropy_amari")
     phis = d.phi(p.probs)
     return -float(phis @ d.log(p.probs)) / float(phis.sum())
 
@@ -106,7 +102,7 @@ def entropy_amari(d: Deformation, p: ProbVec) -> float:
 def entropy_from_phi_nu(d: Deformation, nu: float, p: ProbVec) -> float:
     """Trace-form entropy sum_i (phi(p_i) - p_i)/nu of the deformed-log
     duality (Tsallis entropy for phi = x^q, nu = 1-q)."""
-    _require_interior(p, "entropy_from_phi_nu")
+    require_interior(p, "entropy_from_phi_nu")
     return float(np.sum((d.phi(p.probs) - p.probs) / nu))
 
 
@@ -115,8 +111,8 @@ def entropy_from_phi_nu(d: Deformation, nu: float, p: ProbVec) -> float:
 
 def divergence_naudts(d: Deformation, p: ProbVec, q: ProbVec) -> float:
     """sum_j integral_{q_j}^{p_j} (log_phi(x) - log_phi(q_j)) dx >= 0."""
-    _require_interior(p, "divergence_naudts")
-    _require_interior(q, "divergence_naudts")
+    require_interior(p, "divergence_naudts")
+    require_interior(q, "divergence_naudts")
     total = 0.0
     for pj, qj in zip(p.probs, q.probs):
         if d.log_int0 is not None:
@@ -129,15 +125,15 @@ def divergence_naudts(d: Deformation, p: ProbVec, q: ProbVec) -> float:
 
 def divergence_amari(d: Deformation, p: ProbVec, q: ProbVec) -> float:
     """(1/h_phi(p)) sum_j phi(p_j) (log_phi(p_j) - log_phi(q_j))."""
-    _require_interior(p, "divergence_amari")
-    _require_interior(q, "divergence_amari")
+    require_interior(p, "divergence_amari")
+    require_interior(q, "divergence_amari")
     phis = d.phi(p.probs)
     return float(phis @ (d.log(p.probs) - d.log(q.probs))) / float(phis.sum())
 
 
 def divergence_csiszar(f, p: ProbVec, q: ProbVec) -> float:
     """Csiszar f-divergence sum_i q_i f(p_i/q_i) for convex f with f(1)=0."""
-    _require_interior(q, "divergence_csiszar")
+    require_interior(q, "divergence_csiszar")
     return sum(qj * f(pj / qj) for pj, qj in zip(p.probs, q.probs))
 
 
@@ -152,7 +148,7 @@ def divergence_bregman(F, gradF, p: ProbVec, q: ProbVec) -> float:
 
 def metric_naudts(d: Deformation, p: ProbVec) -> MetricMatrix:
     """g^N = diag(1/phi(p_i)) + 1/phi(p_0), simplex-interior chart."""
-    _require_interior(p, "metric_naudts")
+    require_interior(p, "metric_naudts")
     inv = 1.0 / d.phi(p.probs)
     m = np.diag(inv[1:]) + inv[0]
     return MetricMatrix(m, "simplex_interior", p)
@@ -160,7 +156,7 @@ def metric_naudts(d: Deformation, p: ProbVec) -> MetricMatrix:
 
 def metric_amari(d: Deformation, p: ProbVec) -> MetricMatrix:
     """g^A = (1/h_phi) (diag(phi'/phi (p_i)) + phi'/phi (p_0))."""
-    _require_interior(p, "metric_amari")
+    require_interior(p, "metric_amari")
     phis = d.phi(p.probs)
     ratio = d.phi_prime(p.probs) / phis
     m = (np.diag(ratio[1:]) + ratio[0]) / float(phis.sum())
@@ -171,7 +167,7 @@ def metric_fd_oracle(div, p: ProbVec) -> MetricMatrix:
     """Finite-difference Hessian of q -> div(p, q) at q = p over the
     simplex-interior coordinates.  The independent oracle for the closed
     metric formulas."""
-    _require_interior(p, "metric_fd_oracle")
+    require_interior(p, "metric_fd_oracle")
 
     def f(y):
         vec = np.concatenate(([1.0 - y.sum()], y))
@@ -187,7 +183,7 @@ def t_operator(d: Deformation, p: ProbVec) -> MetricMatrix:
 
     With that normalization T(g^N) reproduces the escort-constraint metric.
     """
-    _require_interior(p, "t_operator")
+    require_interior(p, "t_operator")
     phis = d.phi(p.probs)
     n_g = 1.0 / float(phis.sum())
     # -(log(1/phi))' = phi'/phi
@@ -205,7 +201,7 @@ def ts_metric_transform(d_ht: Deformation, nu: float, p: ProbVec) -> MetricMatri
     integral is evaluated by quadrature here, so agreement with
     metric_naudts(ts_dual(d, nu), p) is a genuine two-path check.
     """
-    _require_interior(p, "ts_metric_transform")
+    require_interior(p, "ts_metric_transform")
 
     def val(x):
         acc = integrate(lambda y: 1.0 / d_ht.phi(y), 1.0, x, _QUAD_TOL)
@@ -220,9 +216,10 @@ def conformal_check(chi: Deformation, p: ProbVec,
                     xi: Deformation | None = None) -> DualityReport:
     """Check g^N_chi = h_xi * g^A_xi with xi = exp(log_chi).
 
-    A pre-built xi may be passed to amortize its construction over many
-    points."""
-    _require_interior(p, "conformal_check")
+    A pre-built xi may be passed in.  This saves little: constructing xi
+    integrates nothing (its range limits, which this check never reads, are
+    computed on first use)."""
+    require_interior(p, "conformal_check")
     if xi is None:
         xi = exp_of_log(chi)
     lhs = metric_naudts(chi, p).entries
@@ -299,7 +296,7 @@ def cd_metrics_closed(params: CdParams, p: ProbVec):
     if params.branch != "generic":
         raise BranchError(
             f"cd_metrics_closed: no closed form on branch {params.branch}")
-    _require_interior(p, "cd_metrics_closed")
+    require_interior(p, "cd_metrics_closed")
     nvals = np.array([_cd_printed_naudts_term(params, pj) for pj in p.probs])
     avals = np.array([_cd_printed_amari_term(params, pj) for pj in p.probs])
     mN = MetricMatrix(np.diag(nvals[1:]) + nvals[0], "simplex_interior", p)

@@ -10,9 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deform import Deformation, ProbVec, _phi_values, escort
-from .errors import (BoundaryError, ConvergenceError, DomainError,
-                     InfeasibleTargetError, NoNormalizationError, RangeError)
+from .deform import (Deformation, ProbVec, _phi_values, escort,
+                     require_interior)
+from .errors import (ConvergenceError, DomainError, InfeasibleTargetError,
+                     NoNormalizationError, RangeError)
 from .specfun import Tolerance
 
 _ROOT_TOL = Tolerance(abs_tol=1e-14, rel_tol=1e-14, max_iter=300)
@@ -151,11 +152,6 @@ def _solve_psi(d: Deformation, a: np.ndarray, lo: float, hi: float,
     raise ConvergenceError(f"{d.name}: normalizer did not converge")
 
 
-def _require_interior(fam: PhiExpFamily, what: str):
-    if not fam.pmf.interior:
-        raise BoundaryError(f"{what}: pmf has cutoff zeros")
-
-
 def psi_forms(fam: PhiExpFamily) -> dict:
     """The normalizer recovered three ways.
 
@@ -165,7 +161,7 @@ def psi_forms(fam: PhiExpFamily) -> dict:
     a quantity sometimes quoted as the normalizer but generally different
     from it; it is returned without any equality claim.
     """
-    _require_interior(fam, "psi_forms")
+    require_interior(fam.pmf, "psi_forms")
     d, p = fam.d, fam.pmf.probs
     logs = d.log(p)
     phis = d.phi(p)
@@ -185,7 +181,7 @@ def eta_coords(fam: PhiExpFamily) -> np.ndarray:
 
     They equal the gradient of the Massieu function -psi(theta); the
     normalizer itself has gradient -eta."""
-    _require_interior(fam, "eta_coords")
+    require_interior(fam.pmf, "eta_coords")
     return fam.E.E.T @ escort(fam.d, fam.pmf).probs
 
 
@@ -200,7 +196,7 @@ def varphi_dual(fam: PhiExpFamily) -> dict:
     legendre_value = theta . eta - (-psi); escort_average_value is the
     escort mean of log_phi(p).  Both equal minus the escort-constraint
     entropy."""
-    _require_interior(fam, "varphi_dual")
+    require_interior(fam.pmf, "varphi_dual")
     d, p = fam.d, fam.pmf.probs
     eta = eta_coords(fam)
     esc = escort(d, fam.pmf).probs

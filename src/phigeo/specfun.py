@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lambertw
 
 from .errors import BracketError, ConvergenceError, DomainError
 
@@ -75,6 +74,9 @@ def lambert_w(branch: str, x):
         xa = np.maximum(xa, _INV_E)
     if k == -1 and xa.max(initial=-math.inf) >= 0.0:
         raise DomainError("lambert_w: lower branch requires x < 0")
+    # Imported here: scipy.special is most of the package's import time,
+    # and only the generic (c,d) branch needs W.
+    from scipy.special import lambertw
     w = lambertw(xa, k).real
     if math.e * lo + 1.0 < _W_SERIES_BELOW:
         t = np.maximum(math.e * xa + 1.0, 0.0)

@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import threading
+import time
 import warnings
 
 import mpmath
@@ -14,8 +15,11 @@ import pytest
 
 from phigeo import deform
 from phigeo.deform import Deformation, chi_dual, exp_of_log
-from phigeo.errors import RangeError
+from phigeo.errors import ConvergenceError, RangeError
+from phigeo.estimation import amari_identity_check
 from phigeo.families import cd_family, identity, tsallis
+from phigeo.geometry import conformal_check
+from phigeo.maxent import ConfigMatrix, normalize
 from phigeo.specfun import integrate
 
 TOL = deform._LOG_TOL
@@ -83,6 +87,39 @@ def old_limits(d):
     return lower, upper
 
 
+def probe_limit(vals, sign):
+    d1, d2 = abs(vals[1] - vals[0]), abs(vals[2] - vals[1])
+    if d2 > 0.5 * d1 and d2 > 1e-8:
+        return sign * math.inf
+    return vals[2] + (vals[2] - vals[1])
+
+
+def eager_limits(d):
+    """exp_of_log(d)'s range limits as computed at its construction before
+    they became lazy: log_xi at 1e-4, 1e-7 and 1e-10 off xi's eager anchor
+    table (from scratch where the table stops short), and the tail beyond
+    its top anchor."""
+    xi = Deformation("xi", lambda x: math.exp(d.log(x)), None,
+                     x_upper=d.x_upper, validate=False)
+    xs, vs = eager_anchors(xi)
+    inv_xi = lambda y: math.exp(min(-d.log(y), 700.0))
+
+    def below(e):
+        if e in xs:
+            return vs[xs.index(e)]
+        return -integrate(inv_xi, e, 1.0, TOL)
+
+    lower = probe_limit([below(e) for e in (1e-4, 1e-7, 1e-10)], -1.0)
+    upper = vs[-1]
+    if math.isfinite(d.x_upper):
+        upper += integrate(inv_xi, xs[-1], d.x_upper * (1 - 1e-12), TOL)
+    else:
+        at_1e6 = upper + integrate(inv_xi, 1e3, 1e6, TOL)
+        at_1e9 = at_1e6 + integrate(inv_xi, 1e6, 1e9, TOL)
+        upper = probe_limit([upper, at_1e6, at_1e9], 1.0)
+    return lower, upper
+
+
 def close(a, b, rel):
     if math.isinf(a) or math.isinf(b):
         return a == b
@@ -128,7 +165,11 @@ class TestLazyAnchors:
                    .tolist() + table.xs if x < d.x_upper]
         random.Random(order_seed).shuffle(queries)
         for x in queries:
-            i = max(bisect.bisect_right(xs_ref, x) - 1, 0)
+            # the anchor next to x on the side of x = 1, or the lowest one
+            if x >= 1.0:
+                i = bisect.bisect_right(xs_ref, x) - 1
+            else:
+                i = bisect.bisect_left(xs_ref, x)
             try:
                 ref = vs_ref[i] + integrate(lambda y: 1.0 / d._phi(y),
                                             xs_ref[i], x, TOL)
@@ -184,10 +225,13 @@ class TestLazyAnchors:
     def test_queries_fill_only_the_decades_they_need(self, integrate_calls):
         d = Deformation("numlog", lambda x: x, lambda x: 1.0)
         d.log(0.5)
-        assert integrate_calls[0] == 2  # the decade (0.1, 1) and (0.1, 0.5)
+        assert integrate_calls[0] == 1  # (1, 0.5), from the anchor at 1
         d.log(0.2)
-        assert integrate_calls[0] == 3
+        assert integrate_calls[0] == 2
         t = d._anchors
+        assert t.xs[t.lo] == 1.0 and t.xs[t.hi] == 1.0
+        d.log(0.05)
+        assert integrate_calls[0] == 4  # the decade (0.1, 1) and (0.1, 0.05)
         assert t.xs[t.lo] == 0.1 and t.xs[t.hi] == 1.0
 
     def test_deformation_attributes_unchanged_by_queries(self):
@@ -242,6 +286,142 @@ class TestExpOfLogLimits:
         assert close(xi.log_upper_limit, float(ref), 1e-7)
 
 
+LIMIT_BASES = {
+    "identity": identity,
+    "tsallis(0.5)": lambda: tsallis(0.5),
+    "tsallis(2)": lambda: tsallis(2.0),
+    "tsallis(0.7)": lambda: tsallis(0.7),
+    "cd(0.8,0.5)": lambda: quiet(cd_family, 0.8, 0.5),
+    "numeric sqrt": sqrt_generator,
+}
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """Counts the calls of _probe_limit, which every computation of
+    exp_of_log's limits makes (two where x_upper is infinite, else one)."""
+    calls = [0]
+    orig = deform._probe_limit
+
+    def counted(*a, **k):
+        calls[0] += 1
+        return orig(*a, **k)
+
+    monkeypatch.setattr(deform, "_probe_limit", counted)
+    return calls
+
+
+class TestLazyLimits:
+    @pytest.mark.parametrize("name", ["identity", "tsallis(0.5)",
+                                      "tsallis(2)", "cd(0.8,0.5)"])
+    def test_construction_integrates_nothing(self, name, integrate_calls):
+        d = LIMIT_BASES[name]()
+        xi = quiet(exp_of_log, d)
+        assert integrate_calls[0] == 0
+        t = xi._anchors
+        assert t.lo == t.hi  # only the anchor at 1
+
+    @pytest.mark.parametrize("name", sorted(LIMIT_BASES))
+    @pytest.mark.parametrize("first", ["limits", "queries"])
+    def test_limits_equal_eager_values(self, name, first):
+        d = LIMIT_BASES[name]()
+        xi = quiet(exp_of_log, d)
+        if first == "queries":  # fill part of the table in another order
+            for x in (1e-9, 2.0, 1e-5, 0.3, 500.0):
+                if x < d.x_upper:
+                    try:
+                        xi.log(x)
+                    except (ZeroDivisionError, OverflowError):
+                        pass  # below where xi underflows
+        got = (xi.log_lower_limit, xi.log_upper_limit)
+        assert got == eager_limits(d)
+
+    def test_first_exp_computes_limits_once(self, integrate_calls, probes):
+        xi = exp_of_log(tsallis(2.0))
+        assert probes[0] == 0
+        xi.exp(-1.0)
+        assert probes[0] == 2  # lower and upper, x_upper infinite
+        before = integrate_calls[0]
+        pair = (xi.log_lower_limit, xi.log_upper_limit)
+        assert integrate_calls[0] == before
+        assert xi.exp(2.0) > 1.0
+        xi.exp(np.array([-3.0, 0.5]))
+        assert probes[0] == 2
+        assert pair == eager_limits(tsallis(2.0))
+
+    def test_concurrent_first_reads_agree(self, probes, monkeypatch):
+        counted = deform._probe_limit
+
+        def slow(*a, **k):
+            time.sleep(0.01)  # lets the other threads reach the unset limits
+            return counted(*a, **k)
+
+        monkeypatch.setattr(deform, "_probe_limit", slow)
+        xi = exp_of_log(tsallis(0.5))
+        ref = eager_limits(tsallis(0.5))
+        seen, errors = [], []
+        start = threading.Barrier(6)
+
+        def work():
+            try:
+                start.wait(timeout=30)
+                seen.append((xi.log_lower_limit, xi.log_upper_limit))
+            except Exception as exc:  # reported through the assertion below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert seen == [ref] * 6
+        assert probes[0] == 2  # one computation, under the lock
+
+    def test_probe_error_surfaces_at_first_read(self, monkeypatch):
+        def fail(*a, **k):
+            raise ConvergenceError("probe failed")
+
+        monkeypatch.setattr(deform, "_probe_limit", fail)
+        xi = exp_of_log(tsallis(2.0))  # builds: nothing is probed yet
+        with pytest.raises(ConvergenceError):
+            xi.exp(-1.0)
+        monkeypatch.undo()
+        # the failed probe wrote nothing, so the next read probes again
+        assert xi.log_upper_limit == eager_limits(tsallis(2.0))[1]
+
+    def test_checks_never_compute_limits(self, monkeypatch):
+        def fail(*a, **k):
+            raise AssertionError("range limits computed")
+
+        monkeypatch.setattr(deform, "_probe_limit", fail)
+        p = deform.ProbVec([0.2, 0.3, 0.5])
+        for d in (tsallis(2.0), tsallis(1.4), quiet(cd_family, 0.8, 0.5)):
+            assert quiet(conformal_check, d, p).max_rel_residual < 1e-8
+            xi = quiet(exp_of_log, d)
+            assert conformal_check(d, p, xi=xi).max_rel_residual < 1e-8
+            fam = normalize(d, ConfigMatrix(np.array([[0.0], [1.0], [2.5]])),
+                            [0.1])
+            assert quiet(amari_identity_check, fam).max_rel_residual < 1e-8
+
+    def test_given_limits_are_plain_slots(self):
+        # A class with __getattr__ slows every attribute read, and exp
+        # reads the limits on each call: only probed limits may have one.
+        for d in (tsallis(0.5), identity(), quiet(cd_family, 0.7, 0.4),
+                  deform.ts_dual(tsallis(0.5), 0.3)):
+            assert not hasattr(type(d._limits), "__getattr__")
+        assert hasattr(type(exp_of_log(tsallis(0.5))._limits), "__getattr__")
+        d = tsallis(0.5)
+        assert (d.log_lower_limit, d.log_upper_limit) == (-2.0, math.inf)
+        assert d.exp(-3.0) == 0.0
+
+
 NEWTON_CASES = {
     "numeric ln": lambda: Deformation("numlog", lambda x: x, lambda x: 1.0),
     "numeric sqrt": sqrt_generator,
@@ -272,6 +452,19 @@ class TestNewtonInversion:
         got = mpmath.quad(lambda t: mpmath.exp(t - 1) / t ** 2,
                           mpmath.linspace(1, u, 20))
         assert close(float(got), 1e5, 1e-9)
+
+
+class TestNumericLog:
+    @pytest.mark.parametrize("x", [0.055, 0.03])
+    def test_far_anchor_does_not_cancel(self, x):
+        # log_xi(1e-2) ~ -1.0e39 for xi = exp(1 - 1/x); integrating up
+        # from that anchor gave 0.0 at x = 0.055 and -4.5e23 at 0.03.  With
+        # u = 1/y: log_xi(x) = -integral_1^(1/x) e^(u-1)/u^2 du.
+        xi = exp_of_log(tsallis(2.0))
+        u = 1.0 / mpmath.mpf(x)
+        ref = -mpmath.quad(lambda t: mpmath.exp(t - 1) / t ** 2,
+                           mpmath.linspace(1, u, 30))
+        assert close(xi.log(x), float(ref), 1e-13)
 
 
 class TestOutsideTheTable:

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
+import phigeo
 from phigeo.errors import BracketError, DomainError
 from phigeo.specfun import (Tolerance, find_root, integrate, lambert_w,
                             numeric_diff, upper_gamma)
@@ -87,6 +91,25 @@ class TestLambertW:
             for branch, k in (("principal", 0), ("lower", -1)):
                 ref = float(mpmath.lambertw(mpmath.mpf(x), k).real)
                 assert abs(lambert_w(branch, x) - ref) < tol, branch
+
+
+    @pytest.mark.parametrize("build, loaded", [
+        ("tsallis(0.5)", False),
+        ("cd_family(0.7, 0.4)", True),  # the generic branch fixes W(B)
+    ])
+    def test_scipy_special_loaded_by_first_call(self, build, loaded):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(phigeo.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, warnings, phigeo, phigeo.cli; "
+             "warnings.simplefilter('ignore'); "
+             f"phigeo.{build}; "
+             "print('scipy.special' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == str(loaded)
 
 
 class TestUpperGamma:
