@@ -23,7 +23,7 @@ from .maxent import (ConfigMatrix, PhiExpFamily, eta_coords,
 from .estimation import (CRReport, Estimator, amari_identity_check, cr_report,
                          dp_dtheta, fisher_general, naudts_identity_check,
                          regularity_check)
-from .specfun import (Tolerance, find_root, integrate, lambert_w,
-                      numeric_diff, upper_gamma)
+from .specfun import (Tolerance, integrate, lambert_w, numeric_diff,
+                      upper_gamma)
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (BoundaryError, ConvergenceError, DomainError, PoleError,
                      RangeError)
-from .specfun import Tolerance, find_root, integrate, numeric_diff
+from .specfun import Tolerance, integrate, numeric_diff
 
 _LOG_TOL = Tolerance(abs_tol=1e-13, rel_tol=1e-13)
 
@@ -222,9 +222,9 @@ class Deformation:
     log_phi(x) = integral_1^x dy/phi(y); exp_phi is its inverse extended by
     the cutoff convention (0 below the lower range limit).  Closed forms are
     used when supplied; otherwise log integrates 1/phi from a lazily filled
-    table of decade anchors and exp inverts it by Newton steps inside the
-    anchor bracket.  Immutable after construction (the table, and range
-    limits given as a probe, only fill).
+    table of decade anchors, and exp inverts the log, closed or numeric, by
+    Newton steps with log' = 1/phi.  Immutable after construction (the
+    table, and range limits given as a probe, only fill).
 
     ``phi``, ``phi_prime``, ``log`` and ``exp`` take a scalar (and return a
     float) or an ndarray (and return a new array of its shape).  With
@@ -384,6 +384,9 @@ class Deformation:
         return out
 
     def _invert_log(self, y):
+        """exp(y) by _newton_log inside a bracket: two neighbouring anchors
+        of a numeric log or validation-grid points of a closed one, else
+        decade steps below or above them."""
         if self.log_closed is None:
             xs, vs = self._anchors.reach(y)
         else:
@@ -391,52 +394,80 @@ class Deformation:
             vs = self.log(np.array(xs)).tolist()
         i = bisect.bisect_left(vs, y)
         if 0 < i < len(vs):
-            if self.log_closed is None:
-                return self._newton_log(y, xs[i - 1], vs[i - 1], xs[i], vs[i])
-            lo, hi = xs[i - 1], xs[i]
-        elif i == 0:
-            lo, hi = xs[0], xs[0]
-            while self.log(lo) > y:
-                lo *= 0.1
-                if lo < 1e-300:
-                    return 0.0
-        else:
-            lo, hi = xs[-1], xs[-1]
-            while self.log(hi) < y:
-                hi *= 10.0
-                if hi > min(self.x_upper, 1e300):
-                    raise RangeError(f"{self.name}: exp_phi({y}) out of range")
-        return find_root(lambda x: self.log(x) - y, lo, hi,
-                         Tolerance(abs_tol=1e-14, rel_tol=1e-12))
+            return self._newton_log(y, xs[i - 1], vs[i - 1], xs[i], vs[i])
+        if i == 0:
+            return self._search_down(y, xs[0], vs[0])
+        b, log_b = xs[-1], vs[-1]
+        while log_b < y:
+            a, log_a = b, log_b
+            b *= 10.0
+            if b > min(self.x_upper, 1e300):
+                raise RangeError(f"{self.name}: exp_phi({y}) out of range")
+            log_b = self._log_from(a, log_a, b)
+        return self._newton_log(y, a, log_a, b, log_b)
+
+    def _search_down(self, y, b, log_b):
+        """exp(y) for y <= log(b): decade steps down from b until log < y,
+        or the cutoff 0 once a step passes x = 1e-300.  A step where the
+        log is not finite (the generator underflows there) is replaced by
+        the geometric midpoint toward the last good point."""
+        bad = 0.0  # the highest step whose log was not finite
+        a = 0.1 * b
+        while True:
+            if a < 1e-300:
+                return 0.0
+            try:
+                log_a = self._log_from(b, log_b, a)
+            except (ZeroDivisionError, OverflowError):
+                log_a = math.nan
+            if not math.isfinite(log_a):
+                bad = a
+            elif log_a < y:
+                return self._newton_log(y, a, log_a, b, log_b)
+            else:
+                b, log_b = a, log_a
+            a = math.sqrt(bad) * math.sqrt(b) if bad > 0.0 else 0.1 * b
+            if not bad < a < b:
+                raise ConvergenceError(
+                    f"{self.name}: exp_phi({y}): no finite log below x={b}")
 
     def _newton_log(self, y, a, log_a, b, log_b):
-        """The x in [a, b] with log(x) = y, for anchors with log_a < y <=
-        log_b.  Newton steps x += (y - L) phi(x), since log' = 1/phi, carry
-        L = log(x) along by integrating 1/phi over each step only; a step
-        that leaves the bracket is replaced by bisection.  The seed
-        interpolates between the anchors in log x, exact for log = c ln x,
-        and its log is integrated from the anchor nearer to y in value, so
-        that a far anchor's large log cannot cancel against the integral."""
-        inv_phi = self._anchors.inv_phi
-        t = (y - log_a) / (log_b - log_a)
-        x = a * (b / a) ** t
-        if t < 0.5:
-            L = log_a + integrate(inv_phi, a, x, _LOG_TOL)
-        else:
-            L = log_b + integrate(inv_phi, b, x, _LOG_TOL)
+        """The x in [a, b] with log(x) = y, for log_a < y <= log_b.  Newton
+        steps x += (y - L) phi(x), since log' = 1/phi, until a step is below
+        1e-13 x.  A step that leaves the bracket, or is not half the step
+        before last, is replaced by bisection, so that Newton cannot crawl
+        where the log bends sharply.  The seed interpolates between a and b
+        in log x, exact for log = c ln x.  A numeric L = log(x) is carried
+        from the bracket end nearer to y in value (mostly the previous x,
+        so each integral spans one step), and a far end's large log cannot
+        cancel against it."""
+        x = a * (b / a) ** ((y - log_a) / (log_b - log_a))
+        step = last = b - a
         for _ in range(100):
-            if L < y:
-                a = x
+            if y - log_a < log_b - y:
+                L = self._log_from(a, log_a, x)
             else:
-                b = x
-            x_new = x + (y - L) * self._phi(x)
-            if not (a <= x_new <= b):
-                x_new = 0.5 * (a + b)
-            if abs(x_new - x) <= 1e-14 + 1e-13 * abs(x):
-                return x_new
-            L += integrate(inv_phi, x, x_new, _LOG_TOL)
-            x = x_new
+                L = self._log_from(b, log_b, x)
+            if L < y:
+                a, log_a = x, L
+            else:
+                b, log_b = x, L
+            before, last = last, step
+            step = (y - L) * self._phi(x)
+            if abs(step) > 1e-13 * x and not (
+                    a < x + step < b and 2.0 * abs(step) <= abs(before)):
+                step = 0.5 * (a + b) - x
+            if abs(step) <= 1e-13 * x:
+                return x + step
+            x += step
         raise ConvergenceError(f"{self.name}: exp_phi({y}) did not converge")
+
+    def _log_from(self, x0, log_x0, x):
+        """log(x), given log(x0): the closed log where there is one, else
+        log(x0) plus the integral of 1/phi from x0 to x."""
+        if self.log_closed is not None:
+            return self.log(x)
+        return log_x0 + integrate(self._anchors.inv_phi, x0, x, _LOG_TOL)
 
     def __repr__(self):
         return f"Deformation({self.name})"

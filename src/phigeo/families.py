@@ -359,6 +359,4 @@ def cd_family(c: float, d: float, r: float | None = None) -> Deformation:
         log_lower_limit=-math.inf, log_upper_limit=log_upper,
         x_upper=x_upper, vectorized=True,
     )
-    dd.lambert_branch = lambert[0] if lambert is not None else None
-    dd.cd_params = params
     return dd

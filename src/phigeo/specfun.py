@@ -1,5 +1,5 @@
 """Numerical kernels: Lambert W (over scipy), upper incomplete gamma,
-adaptive quadrature, bracketed root finding, and finite differences.
+adaptive quadrature and finite differences.
 
 Everything here is pure and holds no global state.
 """
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 
 _EPS = float(np.finfo(float).eps)
 
@@ -250,53 +250,6 @@ def integrate(f, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> float:
         return sign * total
     raise ConvergenceError(
         f"integrate: subdivision budget exhausted (err~{total_err:.3g})")
-
-
-# ---------------------------------------------------------------------------
-# Root finding
-
-def find_root(f, lo: float, hi: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Safeguarded scalar root finder on a sign-change bracket.
-
-    Secant steps are taken when they fall inside the current bracket and
-    shrink it; otherwise the step falls back to bisection.
-    """
-    flo = f(lo)
-    fhi = f(hi)
-    if math.isnan(flo) or math.isnan(fhi):
-        raise DomainError("find_root: NaN at bracket endpoint")
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise BracketError(f"find_root: no sign change on [{lo}, {hi}]")
-
-    a, fa, b, fb = lo, flo, hi, fhi
-    x_prev, f_prev = a, fa
-    x_cur, f_cur = b, fb
-    for _ in range(max(tol.max_iter, 100)):
-        if abs(b - a) < tol.abs_tol + tol.rel_tol * abs(b):
-            return 0.5 * (a + b)
-        x_new = None
-        if f_cur != f_prev:
-            cand = x_cur - f_cur * (x_cur - x_prev) / (f_cur - f_prev)
-            if a < cand < b:
-                x_new = cand
-        if x_new is None or min(x_new - a, b - x_new) < 0.01 * (b - a):
-            x_new = 0.5 * (a + b)
-        f_new = f(x_new)
-        if math.isnan(f_new):
-            raise DomainError("find_root: NaN during iteration")
-        if f_new == 0.0:
-            return x_new
-        if fa * f_new < 0.0:
-            b, fb = x_new, f_new
-        else:
-            a, fa = x_new, f_new
-        x_prev, f_prev = x_cur, f_cur
-        x_cur, f_cur = x_new, f_new
-    raise ConvergenceError("find_root: did not converge")
 
 
 # ---------------------------------------------------------------------------

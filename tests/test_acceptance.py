@@ -18,6 +18,7 @@ from phigeo.families import cd_family, cd_params, identity, stretched, tsallis
 from phigeo.maxent import (ConfigMatrix, eta_coords, fit_escort_moments,
                            fit_linear_moments, massieu, normalize, psi_forms,
                            varphi_dual)
+from phigeo.verify import _families, _random_interior, _rel
 
 
 def quiet(fn, *a, **k):
@@ -31,38 +32,10 @@ def report(label, ok):
     assert ok, label
 
 
-def family_matrix():
-    return [
-        ("shannon", identity()),
-        ("tsallis_q0.5", tsallis(0.5)),
-        ("tsallis_q2", tsallis(2.0)),
-        ("stretched_eta0.5", quiet(stretched, 0.5)),
-        ("stretched_eta2", quiet(stretched, 2.0)),
-        ("cd_1_1", cd_family(1.0, 1.0)),
-        ("cd_1_0.5", quiet(cd_family, 1.0, 0.5)),
-        ("cd_0.5_0", cd_family(0.5, 0.0)),
-        ("cd_0.7_0.4", quiet(cd_family, 0.7, 0.4)),
-        ("cd_0.8_-0.5", quiet(cd_family, 0.8, -0.5)),
-    ]
-
-
-def random_interior(rng, n):
-    w = rng.dirichlet(np.full(n, 3.0))
-    w = np.clip(w, 0.02, None)
-    return ProbVec(w / w.sum())
-
-
-def rel(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return float(np.max(np.abs(a - b)) /
-                 max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300))
-
-
 def test_01_roundtrip():
     t0 = time.monotonic()
     ok = True
-    for label, d in family_matrix():
+    for label, d in _families():
         hi = min(10.0, 0.9 * d.x_upper)
         tol = 1e-10 if d.log_closed is not None else 1e-8
         for x in np.geomspace(1e-4, hi, 24):
@@ -77,20 +50,20 @@ def test_02_metric_divergence_consistency():
     t0 = time.monotonic()
     rng = np.random.default_rng(101)
     ok = True
-    for label, d in family_matrix():
+    for label, d in _families():
         sizes = [2, 3, 5]
         for i in range(20):
             n = sizes[i % 3]
-            p = random_interior(rng, n)
+            p = _random_interior(rng, n)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 on = geo.metric_fd_oracle(
                     lambda a, b: geo.divergence_naudts(d, a, b), p)
                 oa = geo.metric_fd_oracle(
                     lambda a, b: geo.divergence_amari(d, a, b), p)
-            if rel(geo.metric_naudts(d, p).entries, on.entries) >= 1e-4:
+            if _rel(geo.metric_naudts(d, p).entries, on.entries) >= 1e-4:
                 ok = False
-            if rel(geo.metric_amari(d, p).entries, oa.entries) >= 1e-4:
+            if _rel(geo.metric_amari(d, p).entries, oa.entries) >= 1e-4:
                 ok = False
     ok = ok and (time.monotonic() - t0) < 60.0
     report("02 metric matches divergence hessian", ok)
@@ -99,10 +72,10 @@ def test_02_metric_divergence_consistency():
 def test_03_t_operator_duality():
     rng = np.random.default_rng(102)
     ok = True
-    for label, d in family_matrix():
+    for label, d in _families():
         for n in (2, 3, 5):
             for _ in range(5):
-                p = random_interior(rng, n)
+                p = _random_interior(rng, n)
                 res = np.max(np.abs(geo.t_operator(d, p).entries
                                     - geo.metric_amari(d, p).entries))
                 if res >= 1e-10:
@@ -118,7 +91,7 @@ def test_04_conformal_duality():
         xi = quiet(exp_of_log, chi)
         for n in (2, 3):
             for _ in range(10):
-                p = random_interior(rng, n)
+                p = _random_interior(rng, n)
                 rep = quiet(geo.conformal_check, chi, p, xi=xi)
                 if rep.max_rel_residual >= 1e-6:
                     ok = False
@@ -131,13 +104,13 @@ def test_05_cramer_rao():
     E = ConfigMatrix(np.array([[0.0], [1.0], [3.0]]))
     c = est.Estimator(E.E)
     ok = True
-    for label, d in family_matrix():
+    for label, d in _families():
         for _ in range(3):
             fam = normalize(d, E, [float(rng.uniform(-0.2, 0.25))])
             if not fam.pmf.interior:
                 continue
             for _ in range(100):
-                P = random_interior(rng, 3)
+                P = _random_interior(rng, 3)
                 if est.cr_report(fam, P, c).slack < -1e-10:
                     ok = False
             if abs(est.cr_report(fam, escort(d, fam.pmf), c).slack) >= 1e-8:
@@ -174,7 +147,7 @@ def test_07_tsallis_additive_duality():
         dq = tsallis(q)
         dq2 = tsallis(2.0 - q)
         for _ in range(200):
-            p = random_interior(rng, 3)
+            p = _random_interior(rng, 3)
             sa = geo.entropy_amari(dq, p)
             sn = geo.entropy_naudts(dq2, p)
             rhs = (1.0 - 1.0 / (q * (1.0 + (1.0 - q) * sn))) / (1.0 - q)
@@ -191,10 +164,10 @@ def test_08_metric_transform_duality():
         d = tsallis(q)
         dual = quiet(ts_dual, d, nu)
         for _ in range(5):
-            p = random_interior(rng, 3)
+            p = _random_interior(rng, 3)
             m1 = geo.ts_metric_transform(d, nu, p).entries
             m2 = geo.metric_naudts(dual, p).entries
-            if rel(m1, m2) >= 1e-8:
+            if _rel(m1, m2) >= 1e-8:
                 ok = False
             s1 = geo.entropy_from_phi_nu(d, nu, p)
             s2 = sum((pj ** q - pj) / (1.0 - q) for pj in p.probs)
@@ -208,10 +181,10 @@ def test_09_cd_closed_forms():
     ok = True
     for (c, dd) in ((0.7, 0.4), (0.8, 0.5)):
         fam = quiet(cd_family, c, dd)
-        params = fam.cd_params
+        params = cd_params(*fam.params)
         const = quiet(geo.cd_entropy_alignment_constant, params, 3)
         for _ in range(10):
-            p = random_interior(rng, 3)
+            p = _random_interior(rng, 3)
             closed = quiet(geo.cd_entropy_aligned, params, p, const)
             quad = geo.entropy_naudts(fam, p)
             if abs(closed - quad) >= 1e-7:
@@ -226,7 +199,7 @@ def test_09_cd_closed_forms():
     for q in (0.3, 0.6):
         d = cd_family(q, 0.0, r=1.0 / (1.0 - q))
         for _ in range(5):
-            p = random_interior(rng, 3)
+            p = _random_interior(rng, 3)
             lhs = h_phi(d, p) * geo.metric_amari(d, p).entries
             fisher = geo.metric_naudts(identity(), p).entries
             if np.max(np.abs(lhs - (2.0 - q) * fisher)) >= 1e-8 * np.max(fisher):

@@ -256,7 +256,6 @@ class TestArrayForms:
         # At y = -1e308 the W argument underflows to -0.0, off the lower
         # branch; that element alone takes the numeric inversion.
         d = quiet(cd_family, 0.8, -0.5)
-        assert d.lambert_branch == "lower"
         ys = np.array([-1e308, -1.0, 0.0, 1.5])
         got = d.exp(ys)
         assert got[0] == d._invert_log(-1e308) == 0.0

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from phigeo.deform import Deformation
 from phigeo.errors import DomainError
 from phigeo.families import (CdParams, auto_r, cd_exp_closed, cd_family,
                              cd_params, identity, stretched, tsallis)
@@ -145,11 +146,17 @@ class TestCdFamily:
         for x in np.geomspace(1e-3, hi, 15):
             assert abs(dd.exp(dd.log(x)) - x) < 1e-8 * max(x, 1.0)
 
-    def test_lambert_branch_recorded(self):
-        dp = quiet(cd_family, 0.7, 0.4)
-        dm = quiet(cd_family, 0.8, -0.5)
-        assert dp.lambert_branch == "principal"
-        assert dm.lambert_branch == "lower"
+    @pytest.mark.parametrize("c,d", [(0.7, 0.4), (0.8, -0.5)])
+    def test_roundtrip_needs_no_inversion(self, c, d, monkeypatch):
+        # the Lambert closed form covers test_roundtrip's grid on its own
+        def no_inversion(self, y):
+            raise AssertionError(f"numeric inversion at y={y}")
+
+        dd = quiet(cd_family, c, d)
+        monkeypatch.setattr(Deformation, "_invert_log", no_inversion)
+        hi = min(5.0, 0.9 * dd.x_upper)
+        for x in np.geomspace(1e-3, hi, 15):
+            assert abs(dd.exp(dd.log(x)) - x) < 1e-8 * max(x, 1.0)
 
     def test_out_of_range_c_warns_then_fails_validation(self):
         # c > 1 draws a warning; the generator then loses positivity near 0
@@ -188,7 +195,7 @@ class TestCdExpClosed:
 
     def test_roundtrip_against_log(self):
         dd = quiet(cd_family, 0.7, 0.4)
-        p = dd.cd_params
+        p = cd_params(*dd.params)
         for x in np.linspace(0.01, 1.0, 12):
             assert abs(cd_exp_closed(p, dd.log(x)) - x) < 1e-8
 

@@ -7,7 +7,8 @@ import pytest
 import phigeo.geometry as geo
 from phigeo.deform import ProbVec, escort, h_phi, ts_dual, uniform
 from phigeo.errors import BoundaryError, BranchError, DivergentIntegralError
-from phigeo.families import cd_family, identity, stretched, tsallis
+from phigeo.families import (cd_family, cd_params, identity, stretched,
+                             tsallis)
 
 
 def quiet(fn, *a, **k):
@@ -320,7 +321,7 @@ class TestCdClosedForms:
     def test_entropy_scale_and_alignment(self):
         for (c, d) in [(0.7, 0.4), (0.8, 0.5)]:
             fam = quiet(cd_family, c, d)
-            pr = fam.cd_params
+            pr = cd_params(*fam.params)
             K = geo.cd_entropy_alignment_constant(pr, 3)
             for p in [P3, ProbVec(np.array([0.3, 0.7]))]:
                 quad = geo.entropy_naudts(fam, p)
@@ -329,12 +330,11 @@ class TestCdClosedForms:
 
     def test_closed_is_c_times_integral_form(self):
         fam = quiet(cd_family, 0.7, 0.4)
-        pr = fam.cd_params
+        pr = cd_params(*fam.params)
         ratio = geo.cd_entropy_closed(pr, P3) / geo.entropy_naudts(fam, P3)
         assert abs(ratio - 0.7) < 1e-10
 
     def test_branch_error(self):
-        from phigeo.families import cd_params
         with pytest.raises(BranchError):
             geo.cd_entropy_closed(cd_params(1.0, 1.0), P3)
         with pytest.raises(BranchError):
@@ -343,7 +343,7 @@ class TestCdClosedForms:
     def test_printed_metrics_match_generic(self):
         for (c, d) in [(0.7, 0.4), (0.8, -0.5)]:
             fam = quiet(cd_family, c, d)
-            mN, mA = quiet(geo.cd_metrics_closed, fam.cd_params, P3)
+            mN, mA = quiet(geo.cd_metrics_closed, cd_params(*fam.params), P3)
             assert mN.check.max_rel_residual < 1e-6
             assert mA.check.max_rel_residual < 1e-6
 

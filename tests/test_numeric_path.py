@@ -1,8 +1,10 @@
 """The numeric log/exp path: the lazily filled decade-anchor table, the
 range limits exp_of_log reads off it, and Newton inversion inside it."""
 
+import ast
 import bisect
 import math
+import pathlib
 import random
 import sys
 import threading
@@ -15,7 +17,7 @@ import pytest
 
 from phigeo import deform
 from phigeo.deform import Deformation, chi_dual, exp_of_log
-from phigeo.errors import ConvergenceError, RangeError
+from phigeo.errors import ConvergenceError, PhigeoError, RangeError
 from phigeo.estimation import amari_identity_check
 from phigeo.families import cd_family, identity, tsallis
 from phigeo.geometry import conformal_check
@@ -128,18 +130,14 @@ def close(a, b, rel):
 
 @pytest.fixture
 def integrate_calls(monkeypatch):
-    """Counts deform's quadrature calls; find_root must not be reached."""
+    """Counts deform's quadrature calls."""
     calls = [0]
 
     def counted(*a, **k):
         calls[0] += 1
         return integrate(*a, **k)
 
-    def no_root(*a, **k):
-        raise AssertionError("find_root called inside the anchor table")
-
     monkeypatch.setattr(deform, "integrate", counted)
-    monkeypatch.setattr(deform, "find_root", no_root)
     return calls
 
 
@@ -444,14 +442,17 @@ class TestNewtonInversion:
 
     def test_far_anchor_does_not_cancel(self):
         # xi = exp(1 - 1/x): log_xi(1e-2) ~ -1e39, so an inversion that
-        # carried log_xi up from that anchor would lose every digit.  The
-        # answer is checked through u = 1/y: -y = integral_1^(1/x) e^(u-1)/u^2.
+        # carried log_xi up from that anchor would lose every digit.  Below
+        # that anchor (y = -1e40, -1e100) the decade step to 1e-3 lands
+        # where xi underflows and 1/xi divides by zero.  The answer is
+        # checked through u = 1/y: -y = integral_1^(1/x) e^(u-1)/u^2.
         xi = exp_of_log(tsallis(2.0))
-        x = xi.exp(-1e5)
-        u = 1.0 / mpmath.mpf(x)
-        got = mpmath.quad(lambda t: mpmath.exp(t - 1) / t ** 2,
-                          mpmath.linspace(1, u, 20))
-        assert close(float(got), 1e5, 1e-9)
+        for y in (-1e5, -1e40, -1e100):
+            x = xi.exp(y)
+            u = 1.0 / mpmath.mpf(x)
+            got = mpmath.quad(lambda t: mpmath.exp(t - 1) / t ** 2,
+                              mpmath.linspace(1, u, 20))
+            assert close(float(got), -y, 1e-9)
 
 
 class TestNumericLog:
@@ -476,16 +477,71 @@ class TestOutsideTheTable:
         with pytest.raises(RangeError, match="out of range"):
             chi.exp(chi.log(x))
 
-    def test_below_table_bracket_search(self):
-        d = sqrt_generator()
-        y = -1.9999999  # below log(1e-12) = -1.999998, above the limit -2
-        x = d.exp(y)
-        assert x == 5.739590531347522e-15
-        # find_root's absolute tolerance, far above x = (1 + y/2)^2 here
-        assert abs(x - (1.0 + 0.5 * y) ** 2) < 1e-14
+    @pytest.mark.parametrize("y", [-1.9999999, -1.99999999999])
+    def test_below_table_inversion(self, y):
+        # below log(1e-12) = -1.999998, above the bound -2; the exact
+        # answer is x = (1 + y/2)^2, and the error may be the condition
+        # number of exp at y, |y| phi(x)/x, times 1e-12
+        x_ref = (1.0 + 0.5 * y) ** 2
+        x = sqrt_generator().exp(y)
+        assert abs(x - x_ref) <= 1e-12 * abs(y) * math.sqrt(x_ref)
 
     @pytest.mark.parametrize("y", [-2.0, -2.5, -1e300])
     def test_below_table_cutoff(self, y):
         # the log is bounded below by -2 but the declared lower limit is
         # -inf: the search passes x = 1e-300 and returns the cutoff 0
         assert sqrt_generator().exp(y) == 0.0
+
+
+SWEEP_CASES = {
+    "exp_of_log(tsallis(0.5))": lambda: exp_of_log(tsallis(0.5)),
+    "exp_of_log(tsallis(2))": lambda: exp_of_log(tsallis(2.0)),
+    "chi_dual(cd(0.7,0.4))": lambda: chi_dual(quiet(cd_family, 0.7, 0.4)),
+    "numeric sqrt": sqrt_generator,
+    # its Lambert fallback inverts the closed log
+    "cd(0.8,-0.5)": lambda: quiet(cd_family, 0.8, -0.5),
+}
+
+
+class TestInversionSweep:
+    @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+    def test_exp_is_zero_exact_or_typed_error(self, name):
+        """exp(y) at y = +-10^k between the range limits returns the cutoff
+        0, an x whose log is y to 1e-9 max(1, |y|), or raises a
+        PhigeoError.  The log spacing of x itself is allowed on top: a
+        subnormal x (cd at y = -1e63) cannot do better.  Each direction
+        stops at its first error, as every y beyond it searches past the
+        same point (chi_dual(cd) spends ~1 s per y below -1e3 in the
+        quadrature near x = 1e-240, where the cd generator underflows)."""
+        d = SWEEP_CASES[name]()
+        lower, upper = d.log_lower_limit, d.log_upper_limit
+        for sign in (1.0, -1.0):
+            for k in range(-12, 309, 3):
+                y = sign * 10.0 ** k
+                if not lower < y < upper:
+                    continue
+                try:
+                    x = d.exp(y)
+                except PhigeoError:
+                    break
+                if x == 0.0:
+                    continue
+                assert x > 0.0, (y, x)
+                spacing = d.log(math.nextafter(x, math.inf)) - d.log(x)
+                tol = 1e-9 * max(1.0, abs(y)) + spacing
+                assert abs(d.log(x) - y) <= tol, (y, x)
+
+
+def test_no_broad_except_in_source():
+    """Errors are narrow: no bare except and no except Exception."""
+    src = pathlib.Path(deform.__file__).parent
+    broad = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            names = [n.id for n in ast.walk(node.type)
+                     if isinstance(n, ast.Name)] if node.type else ["bare"]
+            if {"bare", "Exception", "BaseException"} & set(names):
+                broad.append(f"{path.name}:{node.lineno}")
+    assert broad == []

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import phigeo
-from phigeo.errors import BracketError, DomainError
-from phigeo.specfun import (Tolerance, find_root, integrate, lambert_w,
-                            numeric_diff, upper_gamma)
+from phigeo.errors import DomainError
+from phigeo.specfun import (Tolerance, integrate, lambert_w, numeric_diff,
+                            upper_gamma)
 
 TOL = Tolerance(abs_tol=1e-13, rel_tol=1e-13)
 
@@ -168,23 +168,6 @@ class TestIntegrate:
 
     def test_reversed_limits(self):
         assert abs(integrate(lambda x: x, 1.0, 0.0, TOL) + 0.5) < 1e-12
-
-
-class TestFindRoot:
-    def test_sqrt2(self):
-        r = find_root(lambda x: x * x - 2.0, 1.0, 2.0, TOL)
-        assert abs(r - math.sqrt(2.0)) < 1e-12
-
-    def test_cubic(self):
-        r = find_root(lambda x: x ** 3 + x - 1.0, 0.0, 1.0, TOL)
-        assert abs(r - 0.6823278038280193) < 1e-12
-
-    def test_linear_through_zero(self):
-        assert abs(find_root(lambda x: x, -1.0, 1.0, TOL)) < 1e-12
-
-    def test_no_sign_change(self):
-        with pytest.raises(BracketError):
-            find_root(lambda x: x * x + 1.0, -1.0, 1.0, TOL)
 
 
 class TestNumericDiff:
