@@ -14,9 +14,7 @@ import numpy as np
 
 from .errors import (BoundaryError, ConvergenceError, DomainError, PoleError,
                      RangeError)
-from .specfun import Tolerance, integrate, numeric_diff
-
-_LOG_TOL = Tolerance(abs_tol=1e-13, rel_tol=1e-13)
+from .specfun import QUAD_TOL, integrate, numeric_diff
 
 
 class ScalarOps:
@@ -96,13 +94,13 @@ class _Anchors:
             while self.hi < i:
                 k = self.hi
                 self.vs[k + 1] = self.vs[k] + integrate(
-                    self.inv_phi, self.xs[k], self.xs[k + 1], _LOG_TOL)
+                    self.inv_phi, self.xs[k], self.xs[k + 1], QUAD_TOL)
                 self.hi = k + 1
             while self.lo > max(i, self.floor):
                 k = self.lo
                 try:
                     seg = integrate(self.inv_phi, self.xs[k - 1], self.xs[k],
-                                    _LOG_TOL)
+                                    QUAD_TOL)
                 except (ZeroDivisionError, OverflowError):
                     self.floor = k
                     return
@@ -335,7 +333,7 @@ class Deformation:
             return self.log_closed(x)
         a = self._anchors
         i = a.anchor(x)
-        return a.vs[i] + integrate(a.inv_phi, a.xs[i], x, _LOG_TOL)
+        return a.vs[i] + integrate(a.inv_phi, a.xs[i], x, QUAD_TOL)
 
     def _log_array(self, x):
         x = np.asarray(x, dtype=float)
@@ -467,7 +465,7 @@ class Deformation:
         log(x0) plus the integral of 1/phi from x0 to x."""
         if self.log_closed is not None:
             return self.log(x)
-        return log_x0 + integrate(self._anchors.inv_phi, x0, x, _LOG_TOL)
+        return log_x0 + integrate(self._anchors.inv_phi, x0, x, QUAD_TOL)
 
     def __repr__(self):
         return f"Deformation({self.name})"
@@ -563,7 +561,7 @@ def exp_of_log(d: Deformation) -> Deformation:
         if table.xs[i] == e:
             return table.vs[i]
         # the table stops short where xi underflows
-        return -integrate(inv_xi, e, 1.0, _LOG_TOL)
+        return -integrate(inv_xi, e, 1.0, QUAD_TOL)
 
     def limits():
         lower = _probe_limit([log_xi_below(e) for e in (1e-4, 1e-7, 1e-10)],
@@ -572,10 +570,10 @@ def exp_of_log(d: Deformation) -> Deformation:
         upper = table.vs[top]
         if math.isfinite(d.x_upper):
             upper += integrate(inv_xi, table.xs[top], d.x_upper * (1 - 1e-12),
-                               _LOG_TOL)
+                               QUAD_TOL)
         else:
-            at_1e6 = upper + integrate(inv_xi, 1e3, 1e6, _LOG_TOL)
-            at_1e9 = at_1e6 + integrate(inv_xi, 1e6, 1e9, _LOG_TOL)
+            at_1e6 = upper + integrate(inv_xi, 1e3, 1e6, QUAD_TOL)
+            at_1e9 = at_1e6 + integrate(inv_xi, 1e6, 1e9, QUAD_TOL)
             upper = _probe_limit([upper, at_1e6, at_1e9], 1.0)
         return lower, upper
 

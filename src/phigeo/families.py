@@ -11,7 +11,7 @@ import numpy as np
 
 from .deform import Deformation, ScalarOps
 from .errors import BranchError, DomainError, RangeError
-from .specfun import Tolerance, integrate, lambert_w, upper_gamma
+from .specfun import QUAD_TOL, integrate, lambert_w, upper_gamma
 
 
 def identity() -> Deformation:
@@ -96,8 +96,7 @@ def stretched(eta: float) -> Deformation:
             return 0.0
         if x <= 1.0:
             return -upper_gamma(1.0 + inv, -math.log(x))
-        return -g_total + integrate(log_s, 1.0, x,
-                                    Tolerance(abs_tol=1e-13, rel_tol=1e-13))
+        return -g_total + integrate(log_s, 1.0, x, QUAD_TOL)
 
     return Deformation(
         f"stretched(eta={eta:g})", params=(eta,),

@@ -13,9 +13,7 @@ from .deform import (Deformation, ProbVec, escort, exp_of_log, h_phi,
                      require_interior, uniform)
 from .errors import BranchError, DivergentIntegralError
 from .families import CdParams, cd_family
-from .specfun import Tolerance, integrate, numeric_diff, upper_gamma
-
-_QUAD_TOL = Tolerance(abs_tol=1e-13, rel_tol=1e-13)
+from .specfun import QUAD_TOL, integrate, numeric_diff, upper_gamma
 
 
 @dataclass
@@ -23,11 +21,13 @@ class MetricMatrix:
     """Symmetric metric matrix tagged with its coordinate chart.
 
     chart ``simplex_interior`` means coordinates (p_1, ..., p_{n-1}) with
-    p_0 dependent; chart ``theta`` means natural parameters.
+    p_0 dependent; chart ``theta`` means natural parameters.  ``check`` is
+    the report of an independent evaluation, where one was made.
     """
     entries: np.ndarray
     chart: str
     base_point: object = None
+    check: DualityReport | None = None
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
@@ -64,14 +64,16 @@ def _report(lhs_label, rhs_label, pairs, grid=None, conformal=None):
 # ---------------------------------------------------------------------------
 # Entropies
 
-def _log_int0(d: Deformation, p: float) -> float:
-    """integral_0^p log_phi(x) dx, closed form if the family carries one."""
-    if p == 0.0:
-        return 0.0
+def entropy_naudts(d: Deformation, p: ProbVec) -> float:
+    """Linear-constraint (Naudts) entropy: -sum_j integral_0^{p_j} log_phi.
+
+    Without a closed ``log_int0``, x = e^-t makes each integral one of
+    g(t) = log_phi(e^-t) e^-t from t_j = -ln p_j out to where g decays.
+    These share their tails: the tail past the largest t_j and each gap
+    between sorted neighbours is integrated once, for all entries.
+    """
     if d.log_int0 is not None:
-        return d.log_int0(p)
-    # Substitute x = exp(-t): the integrand log_phi(e^-t) e^-t must decay.
-    t0 = -math.log(p)
+        return -sum(d.log_int0(pj) for pj in p.probs if pj != 0.0)
 
     def g(t):
         return d.log(math.exp(-t)) * math.exp(-t)
@@ -80,15 +82,15 @@ def _log_int0(d: Deformation, p: float) -> float:
     if not (probes[1] < max(probes[0], 1e-280) and probes[2] < 1e-12):
         raise DivergentIntegralError(
             f"{d.name}: integral of log_phi from 0 diverges")
-    t_hi = 200.0
-    while abs(g(t_hi)) > 1e-16 and t_hi < 700.0:
-        t_hi *= 1.5
-    return integrate(g, t0, t_hi, _QUAD_TOL)
-
-
-def entropy_naudts(d: Deformation, p: ProbVec) -> float:
-    """Linear-constraint (Naudts) entropy: -sum_j integral_0^{p_j} log_phi."""
-    return -sum(_log_int0(d, pj) for pj in p.probs)
+    hi = 200.0
+    while abs(g(hi)) > 1e-16 and hi < 700.0:
+        hi *= 1.5
+    total = tail = 0.0
+    for t in -np.sort(np.log(p.probs[p.probs != 0.0])):
+        tail += integrate(g, t, hi, QUAD_TOL)
+        total += tail
+        hi = t
+    return -total
 
 
 def entropy_amari(d: Deformation, p: ProbVec) -> float:
@@ -118,7 +120,7 @@ def divergence_naudts(d: Deformation, p: ProbVec, q: ProbVec) -> float:
         if d.log_int0 is not None:
             part = d.log_int0(pj) - d.log_int0(qj)
         else:
-            part = integrate(d.log, qj, pj, _QUAD_TOL) if pj != qj else 0.0
+            part = integrate(d.log, qj, pj, QUAD_TOL) if pj != qj else 0.0
         total += part - d.log(qj) * (pj - qj)
     return total
 
@@ -204,7 +206,7 @@ def ts_metric_transform(d_ht: Deformation, nu: float, p: ProbVec) -> MetricMatri
     require_interior(p, "ts_metric_transform")
 
     def val(x):
-        acc = integrate(lambda y: 1.0 / d_ht.phi(y), 1.0, x, _QUAD_TOL)
+        acc = integrate(lambda y: 1.0 / d_ht.phi(y), 1.0, x, QUAD_TOL)
         return 1.0 / ((1.0 + nu * acc) ** 2 * d_ht.phi(x))
 
     vals = np.array([val(pj) for pj in p.probs])
@@ -264,24 +266,18 @@ def cd_entropy_alignment_constant(params: CdParams, n: int) -> float:
     return quad - cd_entropy_closed(params, u) / params.c
 
 
-def _cd_printed_naudts_term(params: CdParams, x: float) -> float:
+def _cd_printed_terms(params: CdParams, x: np.ndarray):
+    """The printed (c,d) Naudts and Amari metric terms at each entry of x."""
     c, d, r = params.c, params.d, params.r
     k = (c - 1.0) * r + 1.0
-    lx = math.log(x)
+    lx = np.log(x)
     dfam_log = r - r * x ** (c - 1.0) * (1.0 - (k / (d * r)) * lx) ** d
     num = (c - 1.0) * k * lx + d
     den = (-c * r + r - 1.0) * lx + d * r
-    return (r - dfam_log) / x * (num / den)
-
-
-def _cd_printed_amari_term(params: CdParams, x: float) -> float:
-    c, d, r = params.c, params.d, params.r
-    k = (c - 1.0) * r + 1.0
-    lx = math.log(x)
     t1 = (d - 1.0) * k / (k * lx - d * r)
     t2 = ((c - 1.0) ** 2 * r + c - 1.0) / (
         (c - 1.0) * d * r - c * d * r + (c - 1.0) * k * lx + d + d * r)
-    return (2.0 - c - t1 - t2) / x
+    return (r - dfam_log) / x * (num / den), (2.0 - c - t1 - t2) / x
 
 
 def cd_metrics_closed(params: CdParams, p: ProbVec):
@@ -290,22 +286,22 @@ def cd_metrics_closed(params: CdParams, p: ProbVec):
     Returns (naudts_matrix, amari_matrix).  The printed Naudts form equals
     the generic 1/phi metric; the printed Amari form omits the global
     1/h_phi factor of the general escort metric, so the attached check
-    compares it against h_phi * metric_amari.  Both reports are stored on
-    the matrices as ``.check``.
+    compares it against h_phi * metric_amari.  Each matrix carries its
+    report as ``.check``.
     """
     if params.branch != "generic":
         raise BranchError(
             f"cd_metrics_closed: no closed form on branch {params.branch}")
     require_interior(p, "cd_metrics_closed")
-    nvals = np.array([_cd_printed_naudts_term(params, pj) for pj in p.probs])
-    avals = np.array([_cd_printed_amari_term(params, pj) for pj in p.probs])
-    mN = MetricMatrix(np.diag(nvals[1:]) + nvals[0], "simplex_interior", p)
-    mA = MetricMatrix(np.diag(avals[1:]) + avals[0], "simplex_interior", p)
+    nvals, avals = _cd_printed_terms(params, p.probs)
+    gN = np.diag(nvals[1:]) + nvals[0]
+    gA = np.diag(avals[1:]) + avals[0]
 
     dfam = cd_family(params.c, params.d, params.r)
     h = h_phi(dfam, p)
-    mN.check = _report("printed_naudts", "generic_naudts",
-                       [(mN.entries, metric_naudts(dfam, p).entries)])
-    mA.check = _report("printed_amari", "h_phi * generic_amari",
-                       [(mA.entries, h * metric_amari(dfam, p).entries)])
-    return mN, mA
+    checkN = _report("printed_naudts", "generic_naudts",
+                     [(gN, metric_naudts(dfam, p).entries)])
+    checkA = _report("printed_amari", "h_phi * generic_amari",
+                     [(gA, h * metric_amari(dfam, p).entries)])
+    return (MetricMatrix(gN, "simplex_interior", p, check=checkN),
+            MetricMatrix(gA, "simplex_interior", p, check=checkA))

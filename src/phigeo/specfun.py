@@ -36,6 +36,8 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+# The tolerance of every integral of a deformed log or its generator.
+QUAD_TOL = Tolerance(abs_tol=1e-13, rel_tol=1e-13)
 
 _INV_E = -1.0 / math.e
 

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import phigeo.geometry as geo
+from phigeo import specfun
 from phigeo.deform import ProbVec, escort, h_phi, ts_dual, uniform
 from phigeo.errors import BoundaryError, BranchError, DivergentIntegralError
 from phigeo.families import (cd_family, cd_params, identity, stretched,
                              tsallis)
+from phigeo.specfun import QUAD_TOL, integrate
 
 
 def quiet(fn, *a, **k):
@@ -90,6 +92,68 @@ class TestEntropies:
                 p = ProbVec(w / w.sum())
                 assert geo.entropy_naudts(d, p) < s_uni_n + 1e-12
                 assert geo.entropy_amari(d, p) < s_uni_a + 1e-12
+
+
+def entropy_per_entry(d, p):
+    """The integral-form entropy with each entry integrated on its own:
+    g(t) = log_phi(e^-t) e^-t over [-ln p_j, t_hi] for every p_j > 0."""
+    def g(t):
+        return d.log(math.exp(-t)) * math.exp(-t)
+
+    t_hi = 200.0
+    while abs(g(t_hi)) > 1e-16 and t_hi < 700.0:
+        t_hi *= 1.5
+    return -sum(integrate(g, -math.log(pj), t_hi, QUAD_TOL)
+                for pj in p.probs if pj != 0.0)
+
+
+SHARED_TAIL_CD = [(0.7, 0.4), (0.8, 0.5), (0.8, -0.5), (0.6, 1.2)]
+
+
+def _shared_tail_cases():
+    rng = np.random.default_rng(8)
+    cases = [(f"random{n}", ProbVec(rng.dirichlet(np.ones(n))))
+             for n in (2, 3, 24, 128)]
+    w = np.array([0.2, 0.05, 0.2, 0.3, 0.05, 0.2])
+    cases.append(("repeated", ProbVec(w)))
+    cases.append(("uniform24", uniform(24)))
+    z = np.array([0.5, 0.0, 0.3, 0.0, 0.2])
+    cases.append(("zeros", ProbVec(z)))
+    return cases
+
+
+class TestSharedTail:
+    """entropy_naudts without a closed log_int0 integrates one tail and
+    the gaps between the sorted -ln p_j, shared across entries."""
+
+    @pytest.mark.parametrize("cd", SHARED_TAIL_CD, ids=str)
+    @pytest.mark.parametrize("case", _shared_tail_cases(),
+                             ids=lambda c: c[0])
+    def test_matches_per_entry(self, cd, case):
+        d = quiet(cd_family, *cd)
+        p = case[1]
+        ref = entropy_per_entry(d, p)
+        assert abs(geo.entropy_naudts(d, p) - ref) <= 1e-13 * abs(ref)
+
+    def test_panel_count_n24(self, monkeypatch):
+        d = quiet(cd_family, 0.7, 0.4)
+        p = ProbVec(np.random.default_rng(24).dirichlet(np.ones(24)))
+        panels = []
+        gk15 = specfun._gk15
+
+        def counted(f, a, b):
+            panels.append((a, b))
+            return gk15(f, a, b)
+
+        monkeypatch.setattr(specfun, "_gk15", counted)
+        geo.entropy_naudts(d, p)
+        assert len(panels) < 100
+
+    def test_divergent_without_log_int0(self):
+        d = tsallis(2.0)
+        assert d.log_int0 is None
+        with pytest.raises(DivergentIntegralError):
+            geo.entropy_naudts(d, P3)
 
 
 class TestDivergences:
@@ -339,6 +403,35 @@ class TestCdClosedForms:
             geo.cd_entropy_closed(cd_params(1.0, 1.0), P3)
         with pytest.raises(BranchError):
             geo.cd_metrics_closed(cd_params(0.5, 0.0), P3)
+
+    def test_printed_terms_match_scalar_formula(self):
+        def naudts_term(c, d, r, x):
+            k = (c - 1.0) * r + 1.0
+            lx = math.log(x)
+            dfam_log = r - r * x ** (c - 1.0) * (1.0 - (k / (d * r)) * lx) ** d
+            num = (c - 1.0) * k * lx + d
+            den = (-c * r + r - 1.0) * lx + d * r
+            return (r - dfam_log) / x * (num / den)
+
+        def amari_term(c, d, r, x):
+            k = (c - 1.0) * r + 1.0
+            lx = math.log(x)
+            t1 = (d - 1.0) * k / (k * lx - d * r)
+            t2 = ((c - 1.0) ** 2 * r + c - 1.0) / (
+                (c - 1.0) * d * r - c * d * r + (c - 1.0) * k * lx + d + d * r)
+            return (2.0 - c - t1 - t2) / x
+
+        rng = np.random.default_rng(256)
+        for (c, d) in [(0.7, 0.4), (0.8, 0.5), (0.8, -0.5), (0.6, 1.2),
+                       (0.3, 2.0)]:
+            pr = cd_params(c, d)
+            assert pr.branch == "generic"
+            p = ProbVec(rng.dirichlet(np.ones(256)))
+            mN, mA = quiet(geo.cd_metrics_closed, pr, p)
+            for m, term in ((mN, naudts_term), (mA, amari_term)):
+                vals = np.array([term(c, d, pr.r, x) for x in p.probs])
+                ref = np.diag(vals[1:]) + vals[0]
+                assert np.all(np.abs(m.entries - ref) <= 1e-14 * np.abs(ref))
 
     def test_printed_metrics_match_generic(self):
         for (c, d) in [(0.7, 0.4), (0.8, -0.5)]:

@@ -22,9 +22,9 @@ from phigeo.estimation import amari_identity_check
 from phigeo.families import cd_family, identity, tsallis
 from phigeo.geometry import conformal_check
 from phigeo.maxent import ConfigMatrix, normalize
-from phigeo.specfun import integrate
+from phigeo.specfun import QUAD_TOL, integrate
 
-TOL = deform._LOG_TOL
+TOL = QUAD_TOL
 
 
 def quiet(fn, *a, **k):
