@@ -282,98 +282,64 @@ def _escort_moments(fam: PhiExpFamily):
     return E.T @ P, E.T @ ((G - P[:, None] * G.sum(axis=0)) / h)
 
 
-def _fit(d: Deformation, E: ConfigMatrix, targets, moments, label,
-         on_stall=None):
-    """Damped Newton steps on the moment residual from theta = 0, each
-    halved until the largest residual drops.  When no halving does,
-    on_stall(d, E, targets, theta, label) takes over if given."""
+def _fit(d: Deformation, E: ConfigMatrix, targets, moments, label):
+    """Check the targets, then descend from theta = 0."""
     targets = np.asarray(targets, dtype=float).reshape(-1)
     if targets.shape[0] != E.n_constraints:
         raise DomainError("target length does not match constraint count")
     _hull_check(E, targets)
-    m = E.n_constraints
-
-    def residual(theta):
-        fam = normalize(d, E, theta)
-        mom, jac = moments(fam)
-        return mom - targets, jac, fam
-
-    theta = np.zeros(m)
-    r, J, fam = residual(theta)
-    norm = np.max(np.abs(r))
-    for _ in range(100):
-        if norm <= 1e-10:
-            return fam
-        try:
-            step = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, -r, rcond=None)[0]
-        lam = 1.0
-        for _ in range(40):
-            try:
-                r_new, J_new, fam_new = residual(theta + lam * step)
-            except (NoNormalizationError, RangeError, OverflowError):
-                lam *= 0.5
-                continue
-            if np.max(np.abs(r_new)) < norm:
-                theta = theta + lam * step
-                r, J, fam, norm = r_new, J_new, fam_new, np.max(np.abs(r_new))
-                break
-            lam *= 0.5
-        else:
-            if on_stall is not None:
-                return on_stall(d, E, targets, theta, label)
-            raise ConvergenceError(
-                f"{label}: damped Newton stalled at residual {norm:.3e}")
-    if norm <= 1e-8:
-        return fam
-    raise ConvergenceError(f"{label}: residual {norm:.3e} after iteration budget")
+    return _descend(d, E, targets, moments, np.zeros(E.n_constraints), label)
 
 
-def _descend_massieu(d: Deformation, E: ConfigMatrix, targets, theta,
-                     label) -> PhiExpFamily:
-    """Escort-moment fit by descent on the convex function
-    F(theta) = -psi(theta) - theta . t, whose gradient is eta - t and whose
-    Hessian is the escort Jacobian; that Hessian is singular along the
-    directions that only move states held at the cutoff, where Newton steps
-    on the residual stall.  Each step solves with the Hessian plus |eta - t|
-    times the identity, so it is a descent direction, and is halved until F
-    drops by the Armijo fraction; once that drop is below the rounding of
-    F, it must lower the largest residual instead."""
+def _descend(d: Deformation, E: ConfigMatrix, targets, moments, theta,
+             label) -> PhiExpFamily:
+    """Newton descent on the moment residual r = moments - targets from theta.
+
+    Both residuals are gradients of convex potentials: the escort one of
+    -psi - theta . t, the linear one of sum_i Lambda(psi + theta . E_i) - psi
+    - theta . t with Lambda' = exp_phi.  So the moment Jacobian J is their
+    Hessian, symmetric positive semi-definite, and singular along directions
+    that only move states held at the cutoff.  Each step solves
+    (J + mu I) s = -r on the eigenvectors of J, with mu the norm of the part
+    of r in J's null space: Newton's step where J is nonsingular, a
+    Levenberg-Marquardt step where it is singular along r, and -r/|r| where
+    J = 0.  The step is halved until the trapezoid estimate
+    (r + r_new) . s / 2 of the potential's change is at most 1e-4 of the
+    linear one r . s; that needs r only, as the linear potential has no
+    closed form in general."""
 
     def evaluate(th):
         fam = normalize(d, E, th)
-        mom, jac = _escort_moments(fam)
-        return fam, mom - targets, jac, -fam.psi - th @ targets
+        mom, jac = moments(fam)
+        return fam, mom - targets, jac
 
-    fam, r, H, F = evaluate(theta)
-    eye = np.eye(theta.shape[0])
+    fam, r, J = evaluate(theta)
     for _ in range(100):
-        norm = np.max(np.abs(r))
-        if norm <= 1e-10:
+        if np.max(np.abs(r)) <= 1e-10:
             return fam
-        step = np.linalg.solve(0.5 * (H + H.T) + np.linalg.norm(r) * eye, -r)
-        slope = r @ step
-        if not slope < 0.0:
-            step, slope = -r, -(r @ r)
+        w, V = np.linalg.eigh(J)
+        c = r @ V
+        null = w <= 1e-13 * w[-1]
+        mu = math.sqrt(c[null] @ c[null])
+        # mu = 0 leaves c = 0 on the null space, which then takes no step
+        w[null] = 0.0 if mu else math.inf
+        step = V @ (c / -(w + mu))
+        bound = -(1.0 - 2e-4) * (r @ step)
         lam = 1.0
         for _ in range(60):
             try:
-                fam_new, r_new, H_new, F_new = evaluate(theta + lam * step)
+                fam_new, r_new, J_new = evaluate(theta + lam * step)
             except (NoNormalizationError, RangeError, OverflowError):
                 lam *= 0.5
                 continue
-            if (F_new <= F + 1e-4 * lam * slope
-                    or (-lam * slope <= 1e-13 * max(1.0, abs(F))
-                        and np.max(np.abs(r_new)) < norm)):
+            if r_new @ step <= bound:
                 break
             lam *= 0.5
         else:
             raise ConvergenceError(
-                f"{label}: descent on -psi - theta.t stalled at residual "
-                f"{norm:.3e}")
+                f"{label}: descent stalled at residual {np.max(np.abs(r)):.3e}")
         theta = theta + lam * step
-        fam, r, H, F = fam_new, r_new, H_new, F_new
+        fam, r, J = fam_new, r_new, J_new
     if np.max(np.abs(r)) <= 1e-8:
         return fam
     raise ConvergenceError(
@@ -389,5 +355,4 @@ def fit_linear_moments(d: Deformation, E: ConfigMatrix, targets) -> PhiExpFamily
 def fit_escort_moments(d: Deformation, E: ConfigMatrix, targets) -> PhiExpFamily:
     """theta such that E^T . escort(pmf) = targets (canonical entropy is
     maximal under escort moment constraints)."""
-    return _fit(d, E, targets, _escort_moments, "fit_escort_moments",
-                on_stall=_descend_massieu)
+    return _fit(d, E, targets, _escort_moments, "fit_escort_moments")

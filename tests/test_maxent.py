@@ -7,8 +7,8 @@ import pytest
 import phigeo.geometry as geo
 import phigeo.maxent as maxent
 from phigeo.deform import ProbVec, escort
-from phigeo.errors import (BoundaryError, ConvergenceError, DomainError,
-                           InfeasibleTargetError, NoNormalizationError)
+from phigeo.errors import (BoundaryError, DomainError, InfeasibleTargetError,
+                           NoNormalizationError)
 from phigeo.families import cd_family, identity, stretched, tsallis
 from phigeo.maxent import (ConfigMatrix, eta_coords, fit_escort_moments,
                            fit_linear_moments, massieu, normalize, psi_forms,
@@ -26,6 +26,10 @@ E2 = ConfigMatrix(np.array([[0.0], [1.0]]))
 E3 = ConfigMatrix(np.array([[0.0], [1.0], [2.0]]))
 E32 = ConfigMatrix(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
 E4 = ConfigMatrix(np.array([[0.0], [1.0], [2.0], [3.0]]))
+
+E16 = ConfigMatrix(np.random.default_rng(31).normal(size=(16, 2)))
+# (configuration matrix, planted theta) for the fit round trips
+ROUNDTRIPS = [(E3, [0.35]), (E16, [0.35, -0.25])]
 
 ALL_FAMILIES = [identity(), tsallis(0.5), tsallis(2.0),
                 quiet(stretched, 2.0), quiet(cd_family, 0.7, 0.4)]
@@ -176,17 +180,18 @@ class TestFitting:
 
     def test_linear_roundtrip(self):
         for d in ALL_FAMILIES:
-            ref = normalize(d, E3, [0.35])
-            targets = E3.E.T @ ref.pmf.probs
-            fam = fit_linear_moments(d, E3, targets)
-            assert abs(fam.theta[0] - 0.35) < 1e-6
+            for E, theta in ROUNDTRIPS:
+                ref = normalize(d, E, theta)
+                fam = fit_linear_moments(d, E, E.E.T @ ref.pmf.probs)
+                assert np.max(np.abs(fam.theta - theta)) < 1e-6
 
     def test_escort_roundtrip(self):
         for d in ALL_FAMILIES:
-            ref = normalize(d, E3, [0.35])
-            targets = E3.E.T @ escort(d, ref.pmf).probs
-            fam = fit_escort_moments(d, E3, targets)
-            assert abs(fam.theta[0] - 0.35) < 1e-6
+            for E, theta in ROUNDTRIPS:
+                ref = normalize(d, E, theta)
+                targets = E.E.T @ escort(d, ref.pmf).probs
+                fam = fit_escort_moments(d, E, targets)
+                assert np.max(np.abs(fam.theta - theta)) < 1e-6
 
     def test_identity_escort_equals_linear(self):
         fam1 = fit_linear_moments(identity(), E3, [1.2])
@@ -306,16 +311,20 @@ JACOBIAN_CASES = [  # (family, theta scale); tsallis(0.5) reaches its cutoff
     (lambda: quiet(stretched, 2.0), 0.5)]
 
 
+def _jacobian_case(case, m):
+    make, scale = JACOBIAN_CASES[case]
+    d = make()
+    rng = np.random.default_rng(10 * case + m)
+    E = ConfigMatrix(rng.normal(size=(8, m)))
+    theta = rng.normal(scale=scale, size=m)
+    return d, E, theta, normalize(d, E, theta)
+
+
 class TestAnalyticJacobians:
     @pytest.mark.parametrize("case", range(len(JACOBIAN_CASES)))
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_against_central_differences(self, case, m):
-        make, scale = JACOBIAN_CASES[case]
-        d = make()
-        rng = np.random.default_rng(10 * case + m)
-        E = ConfigMatrix(rng.normal(size=(8, m)))
-        theta = rng.normal(scale=scale, size=m)
-        fam = normalize(d, E, theta)
+        d, E, theta, fam = _jacobian_case(case, m)
         if case == 0:
             assert 0 < np.sum(fam.pmf.probs == 0.0) < 8 - m
         for moments in (maxent._linear_moments, maxent._escort_moments):
@@ -323,6 +332,18 @@ class TestAnalyticJacobians:
             fd = _fd_jacobian(d, E, theta, moments)
             assert np.all(np.isfinite(analytic))
             assert np.max(np.abs(analytic - fd)) < 1e-6 * np.max(np.abs(fd))
+
+    @pytest.mark.parametrize("case", range(len(JACOBIAN_CASES)))
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_symmetric_positive_semidefinite(self, case, m):
+        # both moment maps are gradients of convex potentials, which is
+        # what lets maxent._descend treat their Jacobians as Hessians
+        fam = _jacobian_case(case, m)[3]
+        for moments in (maxent._linear_moments, maxent._escort_moments):
+            J = moments(fam)[1]
+            assert np.max(np.abs(J - J.T)) <= 1e-12 * np.max(np.abs(J))
+            eig = np.linalg.eigvalsh(J)
+            assert np.min(eig) >= -1e-12 * np.max(np.abs(eig))
 
 
 class TestLargeFit:
@@ -338,9 +359,9 @@ class TestLargeFit:
             assert np.max(np.abs(got - targets)) <= 1e-8
 
 
-# Escort targets on which the damped Newton steps stall: their first step
-# leaves four or five of the eight states at tsallis(0.5)'s cutoff, where
-# the escort Jacobian is singular or nearly so.
+# Escort targets whose first Newton step leaves four or five of the eight
+# states at tsallis(0.5)'s cutoff, where the escort Jacobian is singular or
+# nearly so; Newton steps halved until the largest residual drops stall there.
 STALL_CASES = [
     ([[1.4812976498368908, 0.9652250348221966, 0.7848234892856137],
       [1.0164173875785543, -1.3997581279548579, -0.28571647916122866],
@@ -363,38 +384,62 @@ STALL_CASES = [
 ]
 
 
+# Fits that each simpler step rule fails, on
+# rng = default_rng(K); E = rng.standard_normal((8, 3));
+# t = E.T @ rng.dirichlet(np.full(8, 0.3)).
+DESIGN_CASES = [
+    # three live states meet m = 3, so the escort Jacobian is singular along
+    # the residual and pure Newton steps never converge
+    (fit_escort_moments, lambda: tsallis(0.5), 35),
+    # theta reaches (75, 150, 156), where steps regularised by |r| throughout
+    # stall
+    (fit_linear_moments, lambda: tsallis(3.0), 0),
+]
+
+
+@pytest.fixture
+def normalize_calls(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return normalize(*args)
+
+    monkeypatch.setattr(maxent, "normalize", counted)
+    return calls
+
+
 class TestEscortStall:
     @pytest.mark.parametrize("case", range(len(STALL_CASES)))
-    def test_descent_takes_over(self, case):
+    def test_descent_takes_over(self, case, normalize_calls):
         E, t = (np.array(v) for v in STALL_CASES[case])
         E = ConfigMatrix(E)
-        d = tsallis(0.5)
-        with pytest.raises(ConvergenceError, match="damped Newton stalled"):
-            maxent._fit(d, E, t, maxent._escort_moments, "escort")
-        fam = fit_escort_moments(d, E, t)
+        fam = fit_escort_moments(tsallis(0.5), E, t)
         assert np.max(np.abs(maxent._escort_moments(fam)[0] - t)) <= 1e-10
         assert np.sum(fam.pmf.probs == 0.0) > 0
-
-    @pytest.mark.parametrize("d", ALL_FAMILIES, ids=lambda d: d.name)
-    def test_descent_alone_agrees_with_newton(self, d):
-        rng = np.random.default_rng(31)
-        E = ConfigMatrix(rng.normal(size=(16, 2)))
-        t = E.E.T @ rng.dirichlet(np.full(16, 3.0))
-        ref = fit_escort_moments(d, E, t)
-        got = maxent._descend_massieu(d, E, t, np.zeros(2), "descent")
-        assert np.max(np.abs(got.theta - ref.theta)) < 1e-7
-        assert np.max(np.abs(maxent._escort_moments(got)[0] - t)) <= 1e-10
+        assert len(normalize_calls) <= 40
 
     def test_descent_from_single_live_state(self):
         # at theta = 20 only the last state is above tsallis(0.5)'s cutoff,
-        # so the escort Jacobian is exactly 0 and only the regularization
-        # gives a step
+        # so the escort Jacobian is exactly 0 and the first step is -r/|r|
         d = tsallis(0.5)
         theta = np.array([20.0])
         fam = normalize(d, E4, theta)
         assert np.count_nonzero(fam.pmf.probs) == 1
         assert not np.any(maxent._escort_moments(fam)[1])
-        got = maxent._descend_massieu(d, E4, np.array([1.2]), theta, "descent")
+        got = maxent._descend(d, E4, np.array([1.2]), maxent._escort_moments,
+                              theta, "descent")
         assert abs(maxent._escort_moments(got)[0][0] - 1.2) <= 1e-10
         ref = fit_escort_moments(d, E4, [1.2])
         assert np.max(np.abs(got.theta - ref.theta)) < 1e-7
+
+    @pytest.mark.parametrize("fit,make,seed", DESIGN_CASES,
+                             ids=["escort-tsallis(0.5)", "linear-tsallis(3)"])
+    def test_design_case(self, fit, make, seed):
+        rng = np.random.default_rng(seed)
+        E = rng.standard_normal((8, 3))
+        t = E.T @ rng.dirichlet(np.full(8, 0.3))
+        fam = fit(make(), ConfigMatrix(E), t)
+        moments = (maxent._linear_moments if fit is fit_linear_moments
+                   else maxent._escort_moments)
+        assert np.max(np.abs(moments(fam)[0] - t)) <= 1e-10
