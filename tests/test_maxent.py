@@ -419,6 +419,22 @@ class TestEscortStall:
         assert np.sum(fam.pmf.probs == 0.0) > 0
         assert len(normalize_calls) <= 40
 
+    @pytest.mark.parametrize("d", ALL_FAMILIES, ids=lambda d: d.name)
+    def test_descent_alone_agrees_with_newton(self, d):
+        # the descent started away from theta = 0 reaches the fit's theta,
+        # and an undamped Newton step from there moves it no further
+        rng = np.random.default_rng(31)
+        E = ConfigMatrix(rng.normal(size=(16, 2)))
+        t = E.E.T @ rng.dirichlet(np.full(16, 3.0))
+        ref = fit_escort_moments(d, E, t)
+        got = maxent._descend(d, E, t, maxent._escort_moments,
+                              np.array([0.5, -0.5]), "descent")
+        assert np.max(np.abs(got.theta - ref.theta)) < 1e-7
+        assert np.max(np.abs(maxent._escort_moments(got)[0] - t)) <= 1e-10
+        mom, jac = maxent._escort_moments(ref)
+        step = np.linalg.solve(jac, t - mom)
+        assert np.max(np.abs(step)) < 1e-8
+
     def test_descent_from_single_live_state(self):
         # at theta = 20 only the last state is above tsallis(0.5)'s cutoff,
         # so the escort Jacobian is exactly 0 and the first step is -r/|r|
