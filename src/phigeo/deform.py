@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (BoundaryError, ConvergenceError, DomainError, PoleError,
                      RangeError)
-from .specfun import QUAD_TOL, integrate, numeric_diff
+from .specfun import integrate, numeric_diff
 
 
 class ScalarOps:
@@ -94,13 +94,12 @@ class _Anchors:
             while self.hi < i:
                 k = self.hi
                 self.vs[k + 1] = self.vs[k] + integrate(
-                    self.inv_phi, self.xs[k], self.xs[k + 1], QUAD_TOL)
+                    self.inv_phi, self.xs[k], self.xs[k + 1])
                 self.hi = k + 1
             while self.lo > max(i, self.floor):
                 k = self.lo
                 try:
-                    seg = integrate(self.inv_phi, self.xs[k - 1], self.xs[k],
-                                    QUAD_TOL)
+                    seg = integrate(self.inv_phi, self.xs[k - 1], self.xs[k])
                 except (ZeroDivisionError, OverflowError):
                     self.floor = k
                     return
@@ -179,7 +178,7 @@ class ProbVec:
 
     __slots__ = ("probs", "interior")
 
-    def __init__(self, probs, interior: bool | None = None):
+    def __init__(self, probs):
         p = np.asarray(probs, dtype=float)
         if p.ndim != 1 or p.size < 2:
             raise DomainError("ProbVec needs a vector of length >= 2")
@@ -187,13 +186,8 @@ class ProbVec:
             raise DomainError("ProbVec entries must be nonnegative")
         if abs(p.sum() - 1.0) > 1e-12:
             raise DomainError(f"ProbVec entries must sum to 1 (got {p.sum()!r})")
-        p = np.clip(p, 0.0, None)
-        if interior is None:
-            interior = bool(np.all(p > 0.0))
-        elif interior and not np.all(p > 0.0):
-            raise DomainError("interior ProbVec must have strictly positive entries")
-        self.probs = p
-        self.interior = interior
+        self.probs = np.clip(p, 0.0, None)
+        self.interior = bool(np.all(self.probs > 0.0))
 
     @property
     def n(self) -> int:
@@ -236,7 +230,7 @@ class Deformation:
                  log_closed=None, exp_closed=None,
                  log_lower_limit=-math.inf, log_upper_limit=math.inf,
                  x_upper=math.inf, log_int0=None, validate=True,
-                 vectorized=False, _anchors=None, _probe_limits=None):
+                 vectorized=False, _probe_limits=None):
         self.name = name
         self.params = tuple(params)
         self._phi = phi
@@ -252,8 +246,7 @@ class Deformation:
 
         self._anchors = None
         if log_closed is None:
-            self._anchors = (_Anchors(lambda y: 1.0 / phi(y), self.x_upper)
-                             if _anchors is None else _anchors)
+            self._anchors = _Anchors(lambda y: 1.0 / phi(y), self.x_upper)
         if validate:
             grid = validation_grid(self.x_upper)
             self._validate_positivity(grid)
@@ -333,7 +326,7 @@ class Deformation:
             return self.log_closed(x)
         a = self._anchors
         i = a.anchor(x)
-        return a.vs[i] + integrate(a.inv_phi, a.xs[i], x, QUAD_TOL)
+        return a.vs[i] + integrate(a.inv_phi, a.xs[i], x)
 
     def _log_array(self, x):
         x = np.asarray(x, dtype=float)
@@ -465,7 +458,7 @@ class Deformation:
         log(x0) plus the integral of 1/phi from x0 to x."""
         if self.log_closed is not None:
             return self.log(x)
-        return log_x0 + integrate(self._anchors.inv_phi, x0, x, QUAD_TOL)
+        return log_x0 + integrate(self._anchors.inv_phi, x0, x)
 
     def __repr__(self):
         return f"Deformation({self.name})"
@@ -551,35 +544,32 @@ def exp_of_log(d: Deformation) -> Deformation:
         # diverges anyway, and the clamp keeps the probes finite
         return math.exp(min(-d.log(y), 700.0))
 
-    # xi's anchor table is built here and handed to its Deformation: the
-    # range limits are read off its decade anchors (log_xi at 1e-4, 1e-7,
-    # 1e-10 and at the top anchor), so no decade is integrated twice.
-    table = _Anchors(lambda y: 1.0 / xi(y), d.x_upper)
-
+    # The range limits are read off xi's own decade anchors (log_xi at 1e-4,
+    # 1e-7, 1e-10 and at the top anchor), so no decade is integrated twice.
     def log_xi_below(e):
+        table = out._anchors
         i = table.anchor(e)
         if table.xs[i] == e:
             return table.vs[i]
         # the table stops short where xi underflows
-        return -integrate(inv_xi, e, 1.0, QUAD_TOL)
+        return -integrate(inv_xi, e, 1.0)
 
     def limits():
         lower = _probe_limit([log_xi_below(e) for e in (1e-4, 1e-7, 1e-10)],
                              -1.0)
+        table = out._anchors
         top = table.anchor(table.xs[-1])
         upper = table.vs[top]
         if math.isfinite(d.x_upper):
-            upper += integrate(inv_xi, table.xs[top], d.x_upper * (1 - 1e-12),
-                               QUAD_TOL)
+            upper += integrate(inv_xi, table.xs[top], d.x_upper * (1 - 1e-12))
         else:
-            at_1e6 = upper + integrate(inv_xi, 1e3, 1e6, QUAD_TOL)
-            at_1e9 = at_1e6 + integrate(inv_xi, 1e6, 1e9, QUAD_TOL)
+            at_1e6 = upper + integrate(inv_xi, 1e3, 1e6)
+            at_1e9 = at_1e6 + integrate(inv_xi, 1e6, 1e9)
             upper = _probe_limit([upper, at_1e6, at_1e9], 1.0)
         return lower, upper
 
     out = Deformation(f"exp_of_log({d.name})", xi, xi_prime, params=d.params,
-                      x_upper=d.x_upper, validate=False, _anchors=table,
-                      _probe_limits=limits)
+                      x_upper=d.x_upper, validate=False, _probe_limits=limits)
 
     for x in validation_grid(min(d.x_upper, 1e3))[::4]:
         if abs(x - 1.0) < 1e-3:

@@ -82,12 +82,12 @@ def _moment_curvature(fam: PhiExpFamily, est: Estimator, k: int, l: int) -> floa
 
 
 def cr_report(fam: PhiExpFamily, P: ProbVec, est: Estimator,
-              k: int = 0, l: int = 0, tol: float = 1e-8) -> CRReport:
+              k: int = 0, l: int = 0) -> CRReport:
     """Variance-ratio bound Cov_P(c_k, c_l)/(f'')^2 >= 1/I_kl(P).
 
     f'' is the theta_l derivative of the plain mean of c_k along the
     family; the bound is tight when P is the escort distribution and
-    c = E."""
+    c = E, and ``equality`` reports a slack below 1e-8 in size."""
     require_interior(P, "cr_report")
     if regularity_check(fam, P) > 1e-10:
         raise DomainError("regularity condition violated")
@@ -101,7 +101,7 @@ def cr_report(fam: PhiExpFamily, P: ProbVec, est: Estimator,
     lhs = cov / f2 ** 2
     rhs = 1.0 / I
     slack = lhs - rhs
-    return CRReport(lhs, rhs, slack, abs(slack) < tol, f2)
+    return CRReport(lhs, rhs, slack, abs(slack) < 1e-8, f2)
 
 
 def _pullback(fam: PhiExpFamily, simplex_metric: MetricMatrix) -> np.ndarray:

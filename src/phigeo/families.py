@@ -11,7 +11,7 @@ import numpy as np
 
 from .deform import Deformation, ScalarOps
 from .errors import BranchError, DomainError, RangeError
-from .specfun import QUAD_TOL, integrate, lambert_w, upper_gamma
+from .specfun import integrate, lambert_w, upper_gamma
 
 
 def identity() -> Deformation:
@@ -96,7 +96,7 @@ def stretched(eta: float) -> Deformation:
             return 0.0
         if x <= 1.0:
             return -upper_gamma(1.0 + inv, -math.log(x))
-        return -g_total + integrate(log_s, 1.0, x, QUAD_TOL)
+        return -g_total + integrate(log_s, 1.0, x)
 
     return Deformation(
         f"stretched(eta={eta:g})", params=(eta,),
@@ -124,13 +124,6 @@ class CdParams:
     A: float | None
     B: float | None
     branch: str  # generic | d_zero | c_one | shannon
-
-    @property
-    def beta(self) -> float | None:
-        k = 1.0 - (1.0 - self.c) * self.r
-        if k == 0.0:
-            return None
-        return (1.0 - self.c) * self.r / k
 
 
 def auto_r(c: float, d: float) -> float:

@@ -13,7 +13,7 @@ from .deform import (Deformation, ProbVec, escort, exp_of_log, h_phi,
                      require_interior, uniform)
 from .errors import BranchError, DivergentIntegralError
 from .families import CdParams, cd_family
-from .specfun import QUAD_TOL, integrate, numeric_diff, upper_gamma
+from .specfun import integrate, numeric_diff, upper_gamma
 
 
 @dataclass
@@ -33,8 +33,8 @@ class MetricMatrix:
         m = np.asarray(self.entries, dtype=float)
         self.entries = 0.5 * (m + m.T)
 
-    def is_positive_definite(self, floor: float = 0.0) -> bool:
-        return bool(np.all(np.linalg.eigvalsh(self.entries) > floor))
+    def is_positive_definite(self) -> bool:
+        return bool(np.all(np.linalg.eigvalsh(self.entries) > 0.0))
 
 
 @dataclass
@@ -87,7 +87,7 @@ def entropy_naudts(d: Deformation, p: ProbVec) -> float:
         hi *= 1.5
     total = tail = 0.0
     for t in -np.sort(np.log(p.probs[p.probs != 0.0])):
-        tail += integrate(g, t, hi, QUAD_TOL)
+        tail += integrate(g, t, hi)
         total += tail
         hi = t
     return -total
@@ -120,7 +120,7 @@ def divergence_naudts(d: Deformation, p: ProbVec, q: ProbVec) -> float:
         if d.log_int0 is not None:
             part = d.log_int0(pj) - d.log_int0(qj)
         else:
-            part = integrate(d.log, qj, pj, QUAD_TOL) if pj != qj else 0.0
+            part = integrate(d.log, qj, pj) if pj != qj else 0.0
         total += part - d.log(qj) * (pj - qj)
     return total
 
@@ -206,7 +206,7 @@ def ts_metric_transform(d_ht: Deformation, nu: float, p: ProbVec) -> MetricMatri
     require_interior(p, "ts_metric_transform")
 
     def val(x):
-        acc = integrate(lambda y: 1.0 / d_ht.phi(y), 1.0, x, QUAD_TOL)
+        acc = integrate(lambda y: 1.0 / d_ht.phi(y), 1.0, x)
         return 1.0 / ((1.0 + nu * acc) ** 2 * d_ht.phi(x))
 
     vals = np.array([val(pj) for pj in p.probs])

@@ -14,9 +14,6 @@ from .deform import (Deformation, ProbVec, _phi_values, escort,
                      require_interior)
 from .errors import (ConvergenceError, DomainError, InfeasibleTargetError,
                      NoNormalizationError, RangeError)
-from .specfun import Tolerance
-
-_ROOT_TOL = Tolerance(abs_tol=1e-14, rel_tol=1e-14, max_iter=300)
 
 
 @dataclass(frozen=True)
@@ -120,10 +117,10 @@ def _solve_psi(d: Deformation, a: np.ndarray, lo: float, hi: float,
     linear in psi for the ordinary exponential.  A step that leaves the
     bracket [lo, hi], kept around the root, is replaced by bisection.  The
     root counts as found when the Newton correction or the bracket is
-    below 1e-14 (absolute plus relative); returns psi and the unnormalized
-    pmf there."""
+    below 1e-14 (absolute plus relative), within 300 steps; returns psi and
+    the unnormalized pmf there."""
     psi, p = hi, p_hi
-    for _ in range(_ROOT_TOL.max_iter):
+    for _ in range(300):
         s = p.sum()
         if math.isnan(s):
             raise DomainError(f"{d.name}: exp_phi gave NaN while normalizing")
@@ -133,7 +130,7 @@ def _solve_psi(d: Deformation, a: np.ndarray, lo: float, hi: float,
             hi = psi
         else:
             lo = psi
-        tol = _ROOT_TOL.abs_tol + _ROOT_TOL.rel_tol * abs(psi)
+        tol = 1e-14 + 1e-14 * abs(psi)
         live = p > 0.0
         slope = d.phi(p[live]).sum() / s if s > 0.0 else 0.0
         if slope > 0.0 and math.isfinite(slope):

@@ -1,11 +1,23 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 
+from phigeo import geometry as geo
 from phigeo.cli import main
+from phigeo.deform import ProbVec, h_phi, ts_dual
+from phigeo.families import cd_family, identity, stretched, tsallis
+from phigeo.verify import run_suite
+
+
+def quiet(build):
+    """build() with its construction warnings silenced, as the CLI does."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return build()
 
 
 def run(capsys, *argv):
@@ -60,7 +72,88 @@ class TestEval:
         assert code == 2
 
 
+# --family flags, and the Deformation build_family should make of them.
+FAMILIES = {
+    "stretched": (["--family", "stretched", "--eta", "0.5"],
+                  lambda: stretched(0.5)),
+    "cd": (["--family", "cd", "--c", "0.7", "--d", "0.4"],
+           lambda: cd_family(0.7, 0.4)),
+    "ts-dual of tsallis": (["--family", "ts-dual", "--q", "0.5", "--nu", "0.01"],
+                           lambda: ts_dual(tsallis(0.5), 0.01)),
+    "ts-dual of stretched": (["--family", "ts-dual", "--eta", "2.0",
+                              "--nu", "0.01"],
+                             lambda: ts_dual(stretched(2.0), 0.01)),
+    "ts-dual of shannon": (["--family", "ts-dual", "--nu", "0.01"],
+                           lambda: ts_dual(identity(), 0.01)),
+}
+
+P, P2 = "0.2,0.3,0.5", "0.5,0.1,0.4"
+PV, PV2 = ProbVec([0.2, 0.3, 0.5]), ProbVec([0.5, 0.1, 0.4])
+
+# --what, its input flags, and the library call it should print.
+QUANTITIES = {
+    "phi": (["--x", "0.3"], lambda d: d.phi(0.3)),
+    "h": (["--p", P], lambda d: h_phi(d, PV)),
+    "entropy-n": (["--p", P], lambda d: geo.entropy_naudts(d, PV)),
+    "entropy-a": (["--p", P], lambda d: geo.entropy_amari(d, PV)),
+    "divergence-a": (["--p", P, "--p2", P2],
+                     lambda d: geo.divergence_amari(d, PV, PV2)),
+    "metric-a": (["--p", P], lambda d: geo.metric_amari(d, PV).entries.tolist()),
+}
+
+
+class TestEvalPaths:
+    """Every printed value is the direct library call's, to the bit."""
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_family_flags(self, capsys, name):
+        flags, build = FAMILIES[name]
+        d = quiet(build)
+        for x in (0.3, 2.0):
+            code, out = run(capsys, "eval", *flags, "--what", "log",
+                            "--x", str(x))
+            assert code == 0
+            assert json.loads(out) == {"value": d.log(x)}
+
+    @pytest.mark.parametrize("flags", [
+        ["--family", "stretched"],
+        ["--family", "cd", "--c", "0.7"],
+        ["--family", "cd", "--d", "0.4"],
+        ["--family", "ts-dual", "--q", "0.5"],
+    ])
+    def test_missing_family_flag_is_usage_error(self, capsys, flags):
+        code, _ = run(capsys, "eval", *flags, "--what", "log", "--x", "0.3")
+        assert code == 2
+
+    @pytest.mark.parametrize("what", sorted(QUANTITIES))
+    def test_quantity(self, capsys, what):
+        inputs, call = QUANTITIES[what]
+        family, build = FAMILIES["cd"]
+        code, out = run(capsys, "eval", *family, "--what", what, *inputs)
+        assert code == 0
+        assert json.loads(out) == {"value": call(quiet(build))}
+
+    @pytest.mark.parametrize("what", sorted(QUANTITIES))
+    def test_missing_input_is_usage_error(self, capsys, what):
+        inputs, _ = QUANTITIES[what]
+        family, _ = FAMILIES["cd"]
+        # drop the last input flag and its value
+        code, _ = run(capsys, "eval", *family, "--what", what, *inputs[:-2])
+        assert code == 2
+
+
 class TestVerify:
+    def test_every_suite_passes(self):
+        checks = run_suite("all", seed=0)
+        assert [c.name for c in checks if not c.ok] == []
+        counts = {}
+        for c in checks:
+            suite = c.name.split("/")[0]
+            counts[suite] = counts.get(suite, 0) + 1
+        assert counts == {"roundtrip": 10, "metrics-fd": 16, "t-operator": 10,
+                          "conformal": 3, "ts-duality": 4, "cr-bound": 6,
+                          "identities": 10}
+
     def test_roundtrip_suite_passes(self, capsys):
         code, out = run(capsys, "verify", "--suite", "roundtrip")
         assert code == 0

@@ -8,9 +8,7 @@ from phigeo.deform import Deformation
 from phigeo.errors import DomainError
 from phigeo.families import (CdParams, auto_r, cd_exp_closed, cd_family,
                              cd_params, identity, stretched, tsallis)
-from phigeo.specfun import integrate, Tolerance
-
-QTOL = Tolerance(abs_tol=1e-13, rel_tol=1e-13)
+from phigeo.specfun import integrate
 
 
 def quiet(fn, *a, **k):
@@ -205,11 +203,11 @@ class TestQuadratureConsistency:
         # the closed log agrees with its defining integral of 1/phi
         d = tsallis(0.6)
         for x in [0.2, 0.8, 1.7]:
-            ref = integrate(lambda y: 1.0 / d.phi(y), 1.0, x, QTOL)
+            ref = integrate(lambda y: 1.0 / d.phi(y), 1.0, x)
             assert abs(d.log(x) - ref) < 1e-10
 
     def test_cd_log_integral_matches(self):
         dd = quiet(cd_family, 0.8, -0.5)
         for x in [0.3, 0.9, 1.5]:
-            ref = integrate(lambda y: 1.0 / dd.phi(y), 1.0, x, QTOL)
+            ref = integrate(lambda y: 1.0 / dd.phi(y), 1.0, x)
             assert abs(dd.log(x) - ref) < 1e-10

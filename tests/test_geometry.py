@@ -10,7 +10,7 @@ from phigeo.deform import ProbVec, escort, h_phi, ts_dual, uniform
 from phigeo.errors import BoundaryError, BranchError, DivergentIntegralError
 from phigeo.families import (cd_family, cd_params, identity, stretched,
                              tsallis)
-from phigeo.specfun import QUAD_TOL, integrate
+from phigeo.specfun import integrate
 
 
 def quiet(fn, *a, **k):
@@ -103,7 +103,7 @@ def entropy_per_entry(d, p):
     t_hi = 200.0
     while abs(g(t_hi)) > 1e-16 and t_hi < 700.0:
         t_hi *= 1.5
-    return -sum(integrate(g, -math.log(pj), t_hi, QUAD_TOL)
+    return -sum(integrate(g, -math.log(pj), t_hi)
                 for pj in p.probs if pj != 0.0)
 
 
