@@ -24,7 +24,7 @@ from . import geometry as geo
 from .maxent import (ConfigMatrix, eta_coords, fit_escort_moments,
                      fit_linear_moments, psi_forms, varphi_dual)
 from .specfun import upper_gamma
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -37,35 +37,35 @@ def _fmt(v):
     return f"{v:.17g}"
 
 
+def _ts_base(args) -> Deformation:
+    """The base of ts-dual: tsallis with --q, else stretched with --eta,
+    else shannon."""
+    if args.q is not None:
+        return tsallis(args.q)
+    if args.eta is not None:
+        return stretched(args.eta)
+    return identity()
+
+
+# --family: the flags each family requires, and its constructor.
+FAMILIES = {
+    "shannon": ((), lambda a: identity()),
+    "tsallis": (("q",), lambda a: tsallis(a.q)),
+    "stretched": (("eta",), lambda a: stretched(a.eta)),
+    "cd": (("c", "d"), lambda a: cd_family(a.c, a.d, a.r)),
+    "ts-dual": (("nu",), lambda a: ts_dual(_ts_base(a), a.nu)),
+}
+
+
 def build_family(args) -> Deformation:
-    name = args.family
+    flags, build = FAMILIES[args.family]
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise ValueError(
+                f"--{flag} is required for the {args.family} family")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        if name == "shannon":
-            return identity()
-        if name == "tsallis":
-            if args.q is None:
-                raise ValueError("--q is required for the tsallis family")
-            return tsallis(args.q)
-        if name == "stretched":
-            if args.eta is None:
-                raise ValueError("--eta is required for the stretched family")
-            return stretched(args.eta)
-        if name == "cd":
-            if args.c is None or args.d is None:
-                raise ValueError("--c and --d are required for the cd family")
-            return cd_family(args.c, args.d, args.r)
-        if name == "ts-dual":
-            if args.nu is None:
-                raise ValueError("--nu is required for the ts-dual family")
-            if args.q is not None:
-                base = tsallis(args.q)
-            elif args.eta is not None:
-                base = stretched(args.eta)
-            else:
-                base = identity()
-            return ts_dual(base, args.nu)
-    raise ValueError(f"unknown family {name}")
+        return build(args)
 
 
 def _parse_probvec(text) -> ProbVec:
@@ -73,49 +73,38 @@ def _parse_probvec(text) -> ProbVec:
     return ProbVec(vals)
 
 
+# --what: the inputs each quantity reads (--x a float, --p and --p2
+# probability vectors), and the value it prints.
+QUANTITIES = {
+    "log": (("x",), lambda d, x: d.log(x)),
+    "exp": (("x",), lambda d, x: d.exp(x)),
+    "phi": (("x",), lambda d, x: d.phi(x)),
+    "escort": (("p",), lambda d, p: escort(d, p).probs.tolist()),
+    "h": (("p",), lambda d, p: h_phi(d, p)),
+    "entropy-n": (("p",), lambda d, p: geo.entropy_naudts(d, p)),
+    "entropy-a": (("p",), lambda d, p: geo.entropy_amari(d, p)),
+    "divergence-n": (("p", "p2"),
+                     lambda d, p, p2: geo.divergence_naudts(d, p, p2)),
+    "divergence-a": (("p", "p2"),
+                     lambda d, p, p2: geo.divergence_amari(d, p, p2)),
+    "metric-n": (("p",),
+                 lambda d, p: geo.metric_naudts(d, p).entries.tolist()),
+    "metric-a": (("p",),
+                 lambda d, p: geo.metric_amari(d, p).entries.tolist()),
+}
+
+
+def _eval_input(args, name):
+    value = getattr(args, name)
+    if value is None:
+        raise ValueError(f"--{name} is required for --what {args.what}")
+    return value if name == "x" else _parse_probvec(value)
+
+
 def cmd_eval(args) -> int:
     d = build_family(args)
-    what = args.what
-
-    def need_x():
-        if args.x is None:
-            raise ValueError(f"--x is required for --what {what}")
-        return args.x
-
-    def need_p():
-        if args.p is None:
-            raise ValueError(f"--p is required for --what {what}")
-        return _parse_probvec(args.p)
-
-    def need_p2():
-        if args.p2 is None:
-            raise ValueError(f"--p2 is required for --what {what}")
-        return _parse_probvec(args.p2)
-
-    if what == "log":
-        value = d.log(need_x())
-    elif what == "exp":
-        value = d.exp(need_x())
-    elif what == "phi":
-        value = d.phi(need_x())
-    elif what == "escort":
-        value = escort(d, need_p()).probs.tolist()
-    elif what == "h":
-        value = h_phi(d, need_p())
-    elif what == "entropy-n":
-        value = geo.entropy_naudts(d, need_p())
-    elif what == "entropy-a":
-        value = geo.entropy_amari(d, need_p())
-    elif what == "divergence-n":
-        value = geo.divergence_naudts(d, need_p(), need_p2())
-    elif what == "divergence-a":
-        value = geo.divergence_amari(d, need_p(), need_p2())
-    elif what == "metric-n":
-        value = geo.metric_naudts(d, need_p()).entries.tolist()
-    elif what == "metric-a":
-        value = geo.metric_amari(d, need_p()).entries.tolist()
-    else:
-        raise ValueError(f"unknown --what {what}")
+    inputs, quantity = QUANTITIES[args.what]
+    value = quantity(d, *(_eval_input(args, name) for name in inputs))
     print(json.dumps({"value": value}))
     return EXIT_OK
 
@@ -321,9 +310,7 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_family_flags(sp):
-        sp.add_argument("--family", required=True,
-                        choices=["shannon", "tsallis", "stretched", "cd",
-                                 "ts-dual"])
+        sp.add_argument("--family", required=True, choices=list(FAMILIES))
         sp.add_argument("--q", type=float)
         sp.add_argument("--eta", type=float)
         sp.add_argument("--c", type=float)
@@ -333,20 +320,14 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("eval", help="evaluate a single quantity")
     add_family_flags(sp)
-    sp.add_argument("--what", required=True,
-                    choices=["log", "exp", "phi", "escort", "h", "entropy-n",
-                             "entropy-a", "divergence-n", "divergence-a",
-                             "metric-n", "metric-a"])
+    sp.add_argument("--what", required=True, choices=list(QUANTITIES))
     sp.add_argument("--x", type=float)
     sp.add_argument("--p")
     sp.add_argument("--p2")
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("verify", help="run a property suite")
-    sp.add_argument("--suite", default="all",
-                    choices=["roundtrip", "metrics-fd", "conformal",
-                             "t-operator", "ts-duality", "cr-bound",
-                             "identities", "all"])
+    sp.add_argument("--suite", default="all", choices=[*SUITES, "all"])
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_verify)
 

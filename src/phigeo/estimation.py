@@ -5,7 +5,6 @@ two simplex metrics."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +56,7 @@ def fisher_general(fam: PhiExpFamily, P: ProbVec) -> MetricMatrix:
         raise DomainError("reference distribution length mismatch")
     J = dp_dtheta(fam)
     I = J.T @ (J / P.probs[:, None])
-    return MetricMatrix(I, "theta", fam.theta)
+    return MetricMatrix(I, "theta")
 
 
 def regularity_check(fam: PhiExpFamily, P: ProbVec) -> float:
@@ -67,38 +66,37 @@ def regularity_check(fam: PhiExpFamily, P: ProbVec) -> float:
     return float(np.max(np.abs(dp_dtheta(fam).sum(axis=0))))
 
 
-def _moment_curvature(fam: PhiExpFamily, est: Estimator, k: int, l: int) -> float:
-    """d/dtheta_l of <c_k> under pmf(theta), by central differences along
+def _moment_curvature(fam: PhiExpFamily, est: Estimator) -> float:
+    """d/dtheta_0 of <c_0> under pmf(theta), by central differences along
     the family."""
     d, E = fam.d, fam.E
 
-    def mean_ck(theta):
-        return float(est.c[:, k] @ normalize(d, E, theta).pmf.probs)
+    def mean_c0(theta):
+        return float(est.c[:, 0] @ normalize(d, E, theta).pmf.probs)
 
-    h = max(abs(fam.theta[l]), 1.0) * GRAD_STEP
-    tp = fam.theta.copy(); tp[l] += h
-    tm = fam.theta.copy(); tm[l] -= h
-    return (mean_ck(tp) - mean_ck(tm)) / (2.0 * h)
+    h = max(abs(fam.theta[0]), 1.0) * GRAD_STEP
+    tp = fam.theta.copy(); tp[0] += h
+    tm = fam.theta.copy(); tm[0] -= h
+    return (mean_c0(tp) - mean_c0(tm)) / (2.0 * h)
 
 
-def cr_report(fam: PhiExpFamily, P: ProbVec, est: Estimator,
-              k: int = 0, l: int = 0) -> CRReport:
-    """Variance-ratio bound Cov_P(c_k, c_l)/(f'')^2 >= 1/I_kl(P).
+def cr_report(fam: PhiExpFamily, P: ProbVec, est: Estimator) -> CRReport:
+    """Variance-ratio bound Var_P(c_0)/(f'')^2 >= 1/I_00(P).
 
-    f'' is the theta_l derivative of the plain mean of c_k along the
+    f'' is the theta_0 derivative of the plain mean of c_0 along the
     family; the bound is tight when P is the escort distribution and
     c = E, and ``equality`` reports a slack below 1e-8 in size."""
     require_interior(P, "cr_report")
     if regularity_check(fam, P) > 1e-10:
         raise DomainError("regularity condition violated")
-    f2 = _moment_curvature(fam, est, k, l)
+    f2 = _moment_curvature(fam, est)
     if abs(f2) < 1e-14:
         raise ZeroDivisionError("moment curvature vanishes; bound undefined")
     w = P.probs
-    ck, cl = est.c[:, k], est.c[:, l]
-    cov = float(w @ (ck * cl) - (w @ ck) * (w @ cl))
-    I = fisher_general(fam, P).entries[k, l]
-    lhs = cov / f2 ** 2
+    c0 = est.c[:, 0]
+    var = float(w @ (c0 * c0) - (w @ c0) * (w @ c0))
+    I = fisher_general(fam, P).entries[0, 0]
+    lhs = var / f2 ** 2
     rhs = 1.0 / I
     slack = lhs - rhs
     return CRReport(lhs, rhs, slack, abs(slack) < 1e-8, f2)
@@ -118,8 +116,7 @@ def naudts_identity_check(fam: PhiExpFamily) -> DualityReport:
     d, p = fam.d, fam.pmf
     lhs = fisher_general(fam, escort(d, p)).entries
     rhs = h_phi(d, p) * _pullback(fam, metric_naudts(d, p))
-    return _report("fisher_at_escort", "h_phi * pullback(naudts_metric)",
-                   [(lhs, rhs)], grid=[p.probs.tolist()])
+    return _report(lhs, rhs)
 
 
 def amari_identity_check(fam: PhiExpFamily) -> DualityReport:
@@ -138,6 +135,4 @@ def amari_identity_check(fam: PhiExpFamily) -> DualityReport:
     xi = exp_of_log(d)
     lhs = h_phi(xi, p) * _pullback(fam, metric_amari(xi, p))
     rhs = fisher_general(fam, escort(d, p)).entries / h_phi(d, p)
-    return _report("h_xi * pullback(amari_metric(xi))",
-                   "fisher_at_phi_escort / h_phi",
-                   [(lhs, rhs)], grid=[p.probs.tolist()])
+    return _report(lhs, rhs)

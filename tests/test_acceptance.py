@@ -18,7 +18,8 @@ from phigeo.families import cd_family, cd_params, identity, stretched, tsallis
 from phigeo.maxent import (ConfigMatrix, eta_coords, fit_escort_moments,
                            fit_linear_moments, massieu, normalize, psi_forms,
                            varphi_dual)
-from phigeo.verify import _families, _random_interior, _rel
+from phigeo.geometry import rel_residual as _rel
+from phigeo.verify import _families, _random_interior
 
 
 def quiet(fn, *a, **k):

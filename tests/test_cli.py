@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -6,11 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
+from phigeo import cli
 from phigeo import geometry as geo
-from phigeo.cli import main
+from phigeo.cli import main, make_parser
 from phigeo.deform import ProbVec, h_phi, ts_dual
 from phigeo.families import cd_family, identity, stretched, tsallis
-from phigeo.verify import run_suite
+from phigeo.verify import SUITES, run_suite
 
 
 def quiet(build):
@@ -140,6 +142,37 @@ class TestEvalPaths:
         # drop the last input flag and its value
         code, _ = run(capsys, "eval", *family, "--what", what, *inputs[:-2])
         assert code == 2
+
+
+def _choices(command, dest):
+    parser = make_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions
+                if a.dest == dest)
+
+
+class TestTables:
+    """The CLI's choices and input checks come from its tables."""
+
+    def test_choices(self):
+        assert _choices("eval", "family") == list(cli.FAMILIES)
+        assert _choices("fit", "family") == list(cli.FAMILIES)
+        assert _choices("eval", "what") == list(cli.QUANTITIES)
+        assert _choices("verify", "suite") == [*SUITES, "all"]
+
+    @pytest.mark.parametrize("what", list(cli.QUANTITIES))
+    def test_every_required_input(self, capsys, what):
+        inputs, _ = cli.QUANTITIES[what]
+        given = {"x": ["--x", "0.3"], "p": ["--p", P], "p2": ["--p2", P2]}
+        family, _ = FAMILIES["cd"]
+        argv = ["eval", *family, "--what", what]
+        code, _ = run(capsys, *argv, *(f for n in inputs for f in given[n]))
+        assert code == 0
+        for dropped in inputs:
+            kept = (f for n in inputs if n != dropped for f in given[n])
+            code, _ = run(capsys, *argv, *kept)
+            assert code == 2
 
 
 class TestVerify:

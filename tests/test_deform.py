@@ -148,6 +148,22 @@ class TestExpOfLog:
         for x in [0.4, 1.2]:
             assert abs(xi.phi_prime(x) - xi.phi(x) / d.phi(x)) < 1e-12
 
+    def test_construction_evaluates_nothing(self, monkeypatch):
+        d = tsallis(0.5)
+        calls = []
+        monkeypatch.setattr(d, "log", lambda x: calls.append(x))
+        exp_of_log(d)
+        assert calls == []
+
+    @pytest.mark.parametrize("c, dd", [(0.8, 0.5), (0.7, 0.4), (1.0, 0.5)])
+    def test_builds_without_warning(self, c, dd):
+        # d warns that phi' < 0 somewhere, which is where xi'' > xi'^2/xi;
+        # building xi on d adds no warning of its own
+        d = quiet(cd_family, c, dd)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exp_of_log(d)
+
 
 class TestTsDual:
     def test_nu_zero_is_same(self):
