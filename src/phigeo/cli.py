@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -63,9 +62,7 @@ def build_family(args) -> Deformation:
         if getattr(args, flag) is None:
             raise ValueError(
                 f"--{flag} is required for the {args.family} family")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return build(args)
+    return build(args)
 
 
 def _parse_probvec(text) -> ProbVec:
@@ -150,11 +147,9 @@ def cmd_fit(args) -> int:
 
 
 def _fig1_families():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return [("c1.0_d1.0", cd_family(1.0, 1.0)),
-                ("c1.0_d0.5", cd_family(1.0, 0.5)),
-                ("c0.5_d0.0", cd_family(0.5, 0.0))]
+    return [("c1.0_d1.0", cd_family(1.0, 1.0)),
+            ("c1.0_d0.5", cd_family(1.0, 0.5)),
+            ("c0.5_d0.0", cd_family(0.5, 0.0))]
 
 
 def _write_csv(path, header, rows):
@@ -212,9 +207,7 @@ def cmd_figure(args) -> int:
             except PhigeoError:
                 return (math.nan, math.nan)
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            values = [one(point) for point in points]
+        values = [one(point) for point in points]
         rows_n = [[c, dd, v[0]] for (c, dd), v in zip(points, values)]
         rows_a = [[c, dd, v[1]] for (c, dd), v in zip(points, values)]
         _write_csv(os.path.join(args.out, "fig2_naudts.csv"),
@@ -229,10 +222,8 @@ def cmd_table2(args) -> int:
     q, eta = args.q, args.eta
     x = args.x
     p = _parse_probvec(args.p)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        dq = tsallis(q)
-        de = stretched(eta)
+    dq = tsallis(q)
+    de = stretched(eta)
 
     def s_abslog(y):
         return math.copysign(abs(math.log(y)) ** (1.0 / eta), math.log(y))

@@ -8,13 +8,12 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-import warnings
 
 import numpy as np
 
 from .errors import (BoundaryError, ConvergenceError, DomainError, PoleError,
                      RangeError)
-from .specfun import integrate, numeric_diff
+from .specfun import GRAD_STEP, integrate
 
 
 class ScalarOps:
@@ -208,8 +207,10 @@ def uniform(n: int) -> ProbVec:
 
 
 class Deformation:
-    """A positive, strictly increasing generator phi together with its
-    deformed logarithm/exponential.
+    """A positive generator phi together with its deformed
+    logarithm/exponential.  ``increasing`` records whether phi' > 0 on the
+    validation grid (the escort metric is positive-definite at p where
+    phi' > 0 at every p_i), or is None where validation was skipped.
 
     log_phi(x) = integral_1^x dy/phi(y); exp_phi is its inverse extended by
     the cutoff convention (0 below the lower range limit).  Closed forms are
@@ -247,6 +248,7 @@ class Deformation:
         self._anchors = None
         if log_closed is None:
             self._anchors = _Anchors(lambda y: 1.0 / phi(y), self.x_upper)
+        self.increasing = None
         if validate:
             grid = validation_grid(self.x_upper)
             self._validate_positivity(grid)
@@ -275,9 +277,7 @@ class Deformation:
     def _validate(self, grid):
         with np.errstate(all="ignore"):
             dphis = self.phi_prime(grid)
-        if np.any(dphis <= 0.0):
-            warnings.warn(f"{self.name}: generator not increasing everywhere "
-                          "on the validation grid", stacklevel=3)
+        self.increasing = bool(np.all(dphis > 0.0))  # a NaN counts as False
         if self.log_closed is not None:
             if abs(self.log_closed(1.0)) > 1e-10:
                 raise DomainError(f"{self.name}: log(1) != 0")
@@ -507,7 +507,10 @@ def chi_dual(d: Deformation) -> Deformation:
         return d._phi(x) / d._phi_prime(x)
 
     def chi_prime(x):
-        return numeric_diff(lambda v: chi(v[0]), [x], "gradient")
+        # a central difference with a step relative to x, so that x - h
+        # stays positive however small x is
+        h = GRAD_STEP * x
+        return (chi(x + h) - chi(x - h)) / (2.0 * h)
 
     return Deformation(f"chi({d.name})", chi, chi_prime,
                        params=d.params, x_upper=d.x_upper, validate=False)
@@ -529,7 +532,7 @@ def exp_of_log(d: Deformation) -> Deformation:
     xi is positive and, with xi' = xi/phi, increasing.  Its generator
     condition xi'' <= xi'^2/xi (concavity of log_d) needs no test of its
     own: xi'' = xi (1 - phi')/phi^2 and xi'^2/xi = xi/phi^2, so it holds
-    exactly where phi' >= 0, which d's own validation already checks.
+    exactly where phi' >= 0, which d's validation records as d.increasing.
 
     Construction evaluates nothing: xi's range limits, which take
     quadrature over its whole range, are computed on the first read of

@@ -59,13 +59,6 @@ def fisher_general(fam: PhiExpFamily, P: ProbVec) -> MetricMatrix:
     return MetricMatrix(I, "theta")
 
 
-def regularity_check(fam: PhiExpFamily, P: ProbVec) -> float:
-    """max_k |sum_i P_i (1/P_i) dp_i/dtheta_k|; zero by normalization,
-    evaluated explicitly as a sanity gate before the variance bound."""
-    require_interior(P, "regularity_check")
-    return float(np.max(np.abs(dp_dtheta(fam).sum(axis=0))))
-
-
 def _moment_curvature(fam: PhiExpFamily, est: Estimator) -> float:
     """d/dtheta_0 of <c_0> under pmf(theta), by central differences along
     the family."""
@@ -87,8 +80,6 @@ def cr_report(fam: PhiExpFamily, P: ProbVec, est: Estimator) -> CRReport:
     family; the bound is tight when P is the escort distribution and
     c = E, and ``equality`` reports a slack below 1e-8 in size."""
     require_interior(P, "cr_report")
-    if regularity_check(fam, P) > 1e-10:
-        raise DomainError("regularity condition violated")
     f2 = _moment_curvature(fam, est)
     if abs(f2) < 1e-14:
         raise ZeroDivisionError("moment curvature vanishes; bound undefined")

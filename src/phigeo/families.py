@@ -4,7 +4,6 @@ stretched eta, and the (c,d)-family with its Lambert-W exponential."""
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,16 +205,12 @@ def cd_family(c: float, d: float, r: float | None = None) -> Deformation:
     log(x) = r - r x^(c-1) (1 - a log x)^d with a = (1-(1-c)r)/(dr).
 
     The generator is 1/log' from the differentiated closed form.  Degenerate
-    branches (shannon, d = 0, c = 1) get dedicated closed forms.
+    branches (shannon, d = 0, c = 1) get dedicated closed forms.  The
+    (c,d)-entropies have c in (0, 1]; other (c, d, r) build wherever the
+    checks below pass, and raise DomainError otherwise.
     """
     params = cd_params(c, d, r)
     r = params.r
-    if not (0.0 < c <= 1.0):
-        warnings.warn(f"cd_family: c={c} outside the recommended (0, 1] range",
-                      stacklevel=2)
-    if not (-2.0 <= d <= 3.0):
-        warnings.warn(f"cd_family: d={d} outside the supported [-2, 3] range",
-                      stacklevel=2)
 
     if params.branch == "shannon":
         return identity()

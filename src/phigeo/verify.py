@@ -6,7 +6,6 @@ tolerance."""
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,20 +29,18 @@ class Check:
 
 
 def _families():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return [
-            ("shannon", identity()),
-            ("tsallis_q0.5", tsallis(0.5)),
-            ("tsallis_q2", tsallis(2.0)),
-            ("stretched_eta0.5", stretched(0.5)),
-            ("stretched_eta2", stretched(2.0)),
-            ("cd_1_1", cd_family(1.0, 1.0)),
-            ("cd_1_0.5", cd_family(1.0, 0.5)),
-            ("cd_0.5_0", cd_family(0.5, 0.0)),
-            ("cd_0.7_0.4", cd_family(0.7, 0.4)),
-            ("cd_0.8_-0.5", cd_family(0.8, -0.5)),
-        ]
+    return [
+        ("shannon", identity()),
+        ("tsallis_q0.5", tsallis(0.5)),
+        ("tsallis_q2", tsallis(2.0)),
+        ("stretched_eta0.5", stretched(0.5)),
+        ("stretched_eta2", stretched(2.0)),
+        ("cd_1_1", cd_family(1.0, 1.0)),
+        ("cd_1_0.5", cd_family(1.0, 0.5)),
+        ("cd_0.5_0", cd_family(0.5, 0.0)),
+        ("cd_0.7_0.4", cd_family(0.7, 0.4)),
+        ("cd_0.8_-0.5", cd_family(0.8, -0.5)),
+    ]
 
 
 def _random_interior(rng, n):
@@ -106,20 +103,18 @@ def suite_t_operator(seed=0):
 def suite_conformal(seed=0):
     rng = np.random.default_rng(seed)
     checks = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        chis = [("tsallis_q0.5", tsallis(0.5)),
-                ("tsallis_q2", tsallis(2.0)),
-                ("cd_0.8_0.5", cd_family(0.8, 0.5))]
-        for label, chi in chis:
-            xi = exp_of_log(chi)
-            worst = 0.0
-            for n in (2, 3):
-                for _ in range(3):
-                    p = _random_interior(rng, n)
-                    rep = geo.conformal_check(chi, p, xi=xi)
-                    worst = max(worst, rep.max_rel_residual)
-            checks.append(Check(f"conformal/{label}", worst, 1e-6))
+    chis = [("tsallis_q0.5", tsallis(0.5)),
+            ("tsallis_q2", tsallis(2.0)),
+            ("cd_0.8_0.5", cd_family(0.8, 0.5))]
+    for label, chi in chis:
+        xi = exp_of_log(chi)
+        worst = 0.0
+        for n in (2, 3):
+            for _ in range(3):
+                p = _random_interior(rng, n)
+                rep = geo.conformal_check(chi, p, xi=xi)
+                worst = max(worst, rep.max_rel_residual)
+        checks.append(Check(f"conformal/{label}", worst, 1e-6))
     return checks
 
 

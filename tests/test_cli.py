@@ -1,7 +1,6 @@
 import argparse
 import json
 import math
-import os
 import warnings
 
 import numpy as np
@@ -13,13 +12,6 @@ from phigeo.cli import main, make_parser
 from phigeo.deform import ProbVec, h_phi, ts_dual
 from phigeo.families import cd_family, identity, stretched, tsallis
 from phigeo.verify import SUITES, run_suite
-
-
-def quiet(build):
-    """build() with its construction warnings silenced, as the CLI does."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return build()
 
 
 def run(capsys, *argv):
@@ -110,7 +102,7 @@ class TestEvalPaths:
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_family_flags(self, capsys, name):
         flags, build = FAMILIES[name]
-        d = quiet(build)
+        d = build()
         for x in (0.3, 2.0):
             code, out = run(capsys, "eval", *flags, "--what", "log",
                             "--x", str(x))
@@ -133,7 +125,7 @@ class TestEvalPaths:
         family, build = FAMILIES["cd"]
         code, out = run(capsys, "eval", *family, "--what", what, *inputs)
         assert code == 0
-        assert json.loads(out) == {"value": call(quiet(build))}
+        assert json.loads(out) == {"value": call(build())}
 
     @pytest.mark.parametrize("what", sorted(QUANTITIES))
     def test_missing_input_is_usage_error(self, capsys, what):
@@ -200,6 +192,29 @@ class TestVerify:
         assert "checks passed" in out
 
 
+class TestNoWarnings:
+    """phigeo emits no warnings: with every warning raised as an error, the
+    suites and the figure and table commands still run clean."""
+
+    def test_verify_all(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            checks = run_suite("all", seed=0)
+        assert all(c.ok for c in checks)
+
+    @pytest.mark.parametrize("argv", [["figure", "--which", "fig1"],
+                                      ["figure", "--which", "fig2"],
+                                      ["table2"]])
+    def test_commands(self, capsys, tmp_path, argv):
+        if argv[0] == "figure":
+            argv = argv + ["--out", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestFit:
     def _config(self, tmp_path, targets):
         cfg = {"E": [[0.0], [1.0], [2.0]], "targets": targets}
@@ -243,31 +258,29 @@ class TestFit:
 
 class TestFigures:
     def test_fig1_outputs(self, capsys, tmp_path):
-        out_dir = str(tmp_path / "f1")
-        code, _ = run(capsys, "figure", "--which", "fig1", "--out", out_dir)
+        out_dir = tmp_path / "f1"
+        code, _ = run(capsys, "figure", "--which", "fig1", "--out", str(out_dir))
         assert code == 0
         for name in ("fig1_naudts.csv", "fig1_amari.csv", "fig1_crbound.csv"):
-            lines = open(os.path.join(out_dir, name)).read().splitlines()
+            lines = (out_dir / name).read_text().splitlines()
             assert len(lines) == 394  # header + 393 sample points
-        header = open(os.path.join(out_dir, "fig1_naudts.csv")).readline()
-        assert header.startswith("p,")
-        first = open(os.path.join(out_dir, "fig1_naudts.csv")).readlines()[1]
-        assert float(first.split(",")[0]) == 0.01
+        lines = (out_dir / "fig1_naudts.csv").read_text().splitlines()
+        assert lines[0].startswith("p,")
+        assert float(lines[1].split(",")[0]) == 0.01
 
     def test_fig1_deterministic(self, capsys, tmp_path):
-        a = str(tmp_path / "a")
-        b = str(tmp_path / "b")
-        run(capsys, "figure", "--which", "fig1", "--out", a)
-        run(capsys, "figure", "--which", "fig1", "--out", b)
+        a = tmp_path / "a"
+        b = tmp_path / "b"
+        run(capsys, "figure", "--which", "fig1", "--out", str(a))
+        run(capsys, "figure", "--which", "fig1", "--out", str(b))
         for name in ("fig1_naudts.csv", "fig1_crbound.csv"):
-            assert (open(os.path.join(a, name), "rb").read()
-                    == open(os.path.join(b, name), "rb").read())
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_fig2_grid(self, capsys, tmp_path):
-        out_dir = str(tmp_path / "f2")
-        code, _ = run(capsys, "figure", "--which", "fig2", "--out", out_dir)
+        out_dir = tmp_path / "f2"
+        code, _ = run(capsys, "figure", "--which", "fig2", "--out", str(out_dir))
         assert code == 0
-        lines = open(os.path.join(out_dir, "fig2_naudts.csv")).read().splitlines()
+        lines = (out_dir / "fig2_naudts.csv").read_text().splitlines()
         assert len(lines) == 61 * 61 + 1
         # the (c, d) = (1, 1) grid point carries the classical value
         hit = [l for l in lines[1:]

@@ -1,19 +1,15 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
+from phigeo import geometry
 from phigeo.deform import (Deformation, ProbVec, chi_dual, escort, exp_of_log,
                            h_phi, ts_dual, uniform, validation_grid)
 from phigeo.errors import (BoundaryError, DomainError, PoleError, RangeError)
 from phigeo.families import cd_family, identity, stretched, tsallis
-
-
-def quiet(fn, *a, **k):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return fn(*a, **k)
 
 
 class TestProbVec:
@@ -74,9 +70,9 @@ class TestDeformationBasics:
         with pytest.raises(DomainError):
             Deformation("bad", lambda x: x - 0.5, lambda x: 1.0)
 
-    def test_monotonicity_warns_only(self):
-        with pytest.warns(UserWarning):
-            stretched(0.5)
+    def test_monotonicity_recorded(self):
+        assert stretched(0.5).increasing is False
+        assert tsallis(0.5).increasing is True
 
     def test_numeric_log_path(self):
         # no closed log supplied: anchor cache + quadrature must reproduce ln
@@ -104,11 +100,8 @@ class TestEscort:
 
     def test_boundary_rejected_when_phi_undefined_at_zero(self):
         p = ProbVec(np.array([1.0, 0.0]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            d = stretched(2.0)
         with pytest.raises(BoundaryError):
-            h_phi(d, p)
+            h_phi(stretched(2.0), p)
 
     def test_boundary_allowed_when_phi_extends(self):
         # x^q with q > 0 vanishes continuously at 0, so h is well defined
@@ -127,6 +120,40 @@ class TestChiDual:
         c = chi_dual(identity())
         for x in [0.3, 1.0, 4.0]:
             assert abs(c.phi(x) - x) < 1e-12
+
+    XS = [1e-6, 5e-6, 1e-3, 0.3, 2.0]
+
+    def test_chi_prime_tsallis_exact(self):
+        # chi = x/q, so chi' = 1/q down to x far below the difference step
+        c = chi_dual(tsallis(0.5))
+        for x in self.XS:
+            assert abs(c.phi_prime(x) - 2.0) < 1e-8 * 2.0
+
+    def test_chi_prime_cd_against_mpmath(self):
+        # chi = phi/phi' = -L'/L'' for the (c,d)-log L, so
+        # chi' = L' L''' / L''^2 - 1, from L's derivatives at 40 digits
+        d = cd_family(0.7, 0.4)
+        c, dd, r = d.params
+        a = (1.0 - (1.0 - c) * r) / (dd * r)
+
+        def L(x):
+            return r - r * x ** (c - 1) * (1 - a * mpmath.log(x)) ** dd
+
+        chi = chi_dual(d)
+        with mpmath.workdps(40):
+            for x in self.XS:
+                l1, l2, l3 = (mpmath.diff(L, mpmath.mpf(x), k)
+                              for k in (1, 2, 3))
+                ref = float(l1 * l3 / l2 ** 2 - 1)
+                assert abs(chi.phi_prime(x) - ref) < 1e-8 * abs(ref)
+
+    def test_escort_metric_at_small_entries(self):
+        # for chi = 2x, chi'/chi = 1/x and h = 2, so the escort metric is
+        # (diag(1/p_i) + 1/p_0) / 2
+        p = ProbVec(np.array([1e-6, 0.3, 0.7 - 1e-6]))
+        got = geometry.metric_amari(chi_dual(tsallis(0.5)), p).entries
+        ref = (np.diag(1.0 / p.probs[1:]) + 1.0 / p.probs[0]) / 2.0
+        assert np.max(np.abs(got - ref)) < 1e-8 * np.max(np.abs(ref))
 
 
 class TestExpOfLog:
@@ -157,9 +184,9 @@ class TestExpOfLog:
 
     @pytest.mark.parametrize("c, dd", [(0.8, 0.5), (0.7, 0.4), (1.0, 0.5)])
     def test_builds_without_warning(self, c, dd):
-        # d warns that phi' < 0 somewhere, which is where xi'' > xi'^2/xi;
-        # building xi on d adds no warning of its own
-        d = quiet(cd_family, c, dd)
+        # d is not increasing (phi' < 0 somewhere, which is where
+        # xi'' > xi'^2/xi); building xi on d raises no warning
+        d = cd_family(c, dd)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             exp_of_log(d)
@@ -220,10 +247,10 @@ def exp_close(d, got, ys):
 
 def closed_families():
     return [identity(), tsallis(0.5), tsallis(2.0), tsallis(1.4),
-            quiet(stretched, 2.0), quiet(stretched, 0.5), cd_family(1.0, 1.0),
-            cd_family(0.5, 0.0), quiet(cd_family, 1.0, 0.5),
-            quiet(cd_family, 0.7, 0.4), quiet(cd_family, 0.8, -0.5),
-            quiet(cd_family, 0.8, 0.5)]
+            stretched(2.0), stretched(0.5), cd_family(1.0, 1.0),
+            cd_family(0.5, 0.0), cd_family(1.0, 0.5),
+            cd_family(0.7, 0.4), cd_family(0.8, -0.5),
+            cd_family(0.8, 0.5)]
 
 
 class TestArrayForms:
@@ -271,7 +298,7 @@ class TestArrayForms:
     def test_cd_lambert_fallback_element(self):
         # At y = -1e308 the W argument underflows to -0.0, off the lower
         # branch; that element alone takes the numeric inversion.
-        d = quiet(cd_family, 0.8, -0.5)
+        d = cd_family(0.8, -0.5)
         ys = np.array([-1e308, -1.0, 0.0, 1.5])
         got = d.exp(ys)
         assert got[0] == d._invert_log(-1e308) == 0.0

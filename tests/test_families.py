@@ -4,17 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from phigeo.deform import Deformation
-from phigeo.errors import DomainError
+from phigeo.deform import Deformation, chi_dual, exp_of_log
+from phigeo.errors import DomainError, PhigeoError
 from phigeo.families import (CdParams, auto_r, cd_exp_closed, cd_family,
                              cd_params, identity, stretched, tsallis)
 from phigeo.specfun import integrate
-
-
-def quiet(fn, *a, **k):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return fn(*a, **k)
+from phigeo.verify import _families
 
 
 class TestClosedFamilies:
@@ -52,7 +47,7 @@ class TestClosedFamilies:
             stretched(1.0)
 
     def test_log_derivative_is_inverse_phi(self):
-        for d in [tsallis(0.7), quiet(stretched, 2.0)]:
+        for d in [tsallis(0.7), stretched(2.0)]:
             for x in [0.1, 0.5, 2.0]:
                 h = 1e-7 * x
                 slope = (d.log(x + h) - d.log(x - h)) / (2 * h)
@@ -110,7 +105,7 @@ class TestCdFamily:
             assert abs(d.phi(x) - x ** (2.0 - q)) < 1e-13
 
     def test_c_one_log(self):
-        dd = quiet(cd_family, 1.0, 0.5)
+        dd = cd_family(1.0, 0.5)
         r = dd.params[2]
         for x in [0.3, 0.8]:
             ref = r - r * (1.0 - math.log(x) / (0.5 * r)) ** 0.5
@@ -121,7 +116,7 @@ class TestCdFamily:
             cd_family(1.0, -0.5)
 
     def test_generic_log_slope(self):
-        dd = quiet(cd_family, 0.7, 0.4)
+        dd = cd_family(0.7, 0.4)
         for x in [0.05, 0.4, 0.9, 2.0]:
             h = 1e-6 * x
             slope = (dd.log(x + h) - dd.log(x - h)) / (2 * h)
@@ -129,7 +124,7 @@ class TestCdFamily:
 
     def test_phi_prime_matches_fd(self):
         for (c, d) in [(0.7, 0.4), (0.8, -0.5)]:
-            dd = quiet(cd_family, c, d)
+            dd = cd_family(c, d)
             for x in [0.1, 0.5, 0.9]:
                 h = 1e-6 * x
                 fd = (dd.phi(x + h) - dd.phi(x - h)) / (2 * h)
@@ -139,7 +134,7 @@ class TestCdFamily:
     @pytest.mark.parametrize("c,d", [(1.0, 1.0), (1.0, 0.5), (0.5, 0.0),
                                      (0.7, 0.4), (0.8, -0.5)])
     def test_roundtrip(self, c, d):
-        dd = quiet(cd_family, c, d)
+        dd = cd_family(c, d)
         hi = min(5.0, 0.9 * dd.x_upper)
         for x in np.geomspace(1e-3, hi, 15):
             assert abs(dd.exp(dd.log(x)) - x) < 1e-8 * max(x, 1.0)
@@ -150,35 +145,34 @@ class TestCdFamily:
         def no_inversion(self, y):
             raise AssertionError(f"numeric inversion at y={y}")
 
-        dd = quiet(cd_family, c, d)
+        dd = cd_family(c, d)
         monkeypatch.setattr(Deformation, "_invert_log", no_inversion)
         hi = min(5.0, 0.9 * dd.x_upper)
         for x in np.geomspace(1e-3, hi, 15):
             assert abs(dd.exp(dd.log(x)) - x) < 1e-8 * max(x, 1.0)
 
-    def test_out_of_range_c_warns_then_fails_validation(self):
-        # c > 1 draws a warning; the generator then loses positivity near 0
-        # and construction is rejected rather than silently accepted
-        with pytest.warns(UserWarning):
-            with pytest.raises(DomainError):
-                cd_family(1.2, 0.5)
+    def test_out_of_range_c_fails_validation(self):
+        # with c > 1 the generator loses positivity near 0, and construction
+        # is rejected rather than silently accepted
+        with pytest.raises(DomainError):
+            cd_family(1.2, 0.5)
 
     def test_overflowing_lambert_argument_rejected(self):
         # beta * exp(beta) overflows for small c and d just above 0
         with pytest.raises(DomainError, match="overflows"):
             cd_params(0.2025, 0.0025)
         with pytest.raises(DomainError, match="overflows"):
-            quiet(cd_family, 0.2025, 0.0025)
+            cd_family(0.2025, 0.0025)
 
     @pytest.mark.parametrize("c,d", [(1.0025, 1.8675), (1.0025, 1.8475)])
     def test_domain_sup_not_above_one_rejected(self, c, d):
         # x_upper underflows to 0 (once a geomspace ValueError) or to
         # ~3e-321 (once a family whose every log raised)
         with pytest.raises(DomainError, match="x_upper"):
-            quiet(cd_family, c, d)
+            cd_family(c, d)
 
     def test_cutoff_below_lower_limit(self):
-        dd = quiet(cd_family, 0.7, 0.4)
+        dd = cd_family(0.7, 0.4)
         # log saturates at r as x -> 0, so exp returns 0 below that
         r = dd.params[2]
         assert dd.log_lower_limit == pytest.approx(-math.inf, abs=0) or \
@@ -188,11 +182,11 @@ class TestCdFamily:
 
 class TestCdExpClosed:
     def test_zero_maps_to_one(self):
-        p = quiet(cd_params, 0.5, 2.0)
+        p = cd_params(0.5, 2.0)
         assert abs(cd_exp_closed(p, 0.0) - 1.0) < 1e-12
 
     def test_roundtrip_against_log(self):
-        dd = quiet(cd_family, 0.7, 0.4)
+        dd = cd_family(0.7, 0.4)
         p = cd_params(*dd.params)
         for x in np.linspace(0.01, 1.0, 12):
             assert abs(cd_exp_closed(p, dd.log(x)) - x) < 1e-8
@@ -207,7 +201,48 @@ class TestQuadratureConsistency:
             assert abs(d.log(x) - ref) < 1e-10
 
     def test_cd_log_integral_matches(self):
-        dd = quiet(cd_family, 0.8, -0.5)
+        dd = cd_family(0.8, -0.5)
         for x in [0.3, 0.9, 1.5]:
             ref = integrate(lambda y: 1.0 / dd.phi(y), 1.0, x)
             assert abs(dd.log(x) - ref) < 1e-10
+
+
+def _fig2_lattice():
+    """increasing for every (c, d) cell of fig2's lattice that builds,
+    built with every warning raised as an error."""
+    cs = [0.2 + 0.02 * i for i in range(61)]
+    ds = [-1.0 + 0.05 * i for i in range(61)]
+    flags = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in cs:
+            for d in ds:
+                try:
+                    flags.append(cd_family(c, d).increasing)
+                except PhigeoError:
+                    pass
+    return flags
+
+
+class TestIncreasing:
+    """Deformation.increasing: whether phi' > 0 on the validation grid."""
+
+    NOT_INCREASING = {"stretched_eta0.5", "cd_1_0.5", "cd_0.7_0.4"}
+
+    def test_family_matrix(self):
+        for label, d in _families():
+            assert d.increasing is (label not in self.NOT_INCREASING), label
+        assert cd_family(0.8, 0.5).increasing is False
+
+    def test_unvalidated_deformations_are_none(self):
+        for d in (tsallis(0.5), cd_family(0.7, 0.4)):
+            assert chi_dual(d).increasing is None
+            assert exp_of_log(d).increasing is None
+
+    def test_fig2_lattice(self):
+        # building every cell raises nothing but a PhigeoError, and 779 of
+        # the 2,480 cells that build are not increasing
+        flags = _fig2_lattice()
+        assert len(flags) == 2480
+        assert flags.count(False) == 779
+        assert flags.count(True) == 2480 - 779

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -16,12 +15,6 @@ from phigeo.maxent import (ConfigMatrix, eta_coords, fit_escort_moments,
 from phigeo.specfun import GRAD_STEP, numeric_diff
 
 
-def quiet(fn, *a, **k):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return fn(*a, **k)
-
-
 E2 = ConfigMatrix(np.array([[0.0], [1.0]]))
 E3 = ConfigMatrix(np.array([[0.0], [1.0], [2.0]]))
 E32 = ConfigMatrix(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
@@ -32,7 +25,7 @@ E16 = ConfigMatrix(np.random.default_rng(31).normal(size=(16, 2)))
 ROUNDTRIPS = [(E3, [0.35]), (E16, [0.35, -0.25])]
 
 ALL_FAMILIES = [identity(), tsallis(0.5), tsallis(2.0),
-                quiet(stretched, 2.0), quiet(cd_family, 0.7, 0.4)]
+                stretched(2.0), cd_family(0.7, 0.4)]
 
 
 class TestConfigMatrix:
@@ -139,7 +132,7 @@ class TestDualCoordinates:
                    - float(E3.E[:, 0] @ fam.pmf.probs)) < 1e-12
 
     def test_eta_is_gradient_of_massieu(self):
-        for d in [tsallis(2.0), quiet(cd_family, 0.7, 0.4)]:
+        for d in [tsallis(2.0), cd_family(0.7, 0.4)]:
             th = np.array([0.3])
             fam = normalize(d, E3, th)
             g = numeric_diff(lambda t: -normalize(d, E3, t).psi, th, "gradient")
@@ -247,8 +240,8 @@ THETA_ZERO_PAIRS = [("identity", 8), ("identity", 128), ("tsallis(0.5)", 128),
                     ("stretched(2)", 128), ("cd(0.8,-0.5)", 32)]
 FAMILY_BY_NAME = {
     "identity": identity, "tsallis(0.5)": lambda: tsallis(0.5),
-    "stretched(2)": lambda: quiet(stretched, 2.0),
-    "cd(0.8,-0.5)": lambda: quiet(cd_family, 0.8, -0.5)}
+    "stretched(2)": lambda: stretched(2.0),
+    "cd(0.8,-0.5)": lambda: cd_family(0.8, -0.5)}
 
 
 class TestThetaZero:
@@ -280,7 +273,7 @@ def _bisect_psi(d, a):
 
 
 class TestNewtonNormalizer:
-    @pytest.mark.parametrize("d", ALL_FAMILIES + [quiet(cd_family, 0.8, -0.5)],
+    @pytest.mark.parametrize("d", ALL_FAMILIES + [cd_family(0.8, -0.5)],
                              ids=repr)
     def test_against_bisection(self, d):
         rng = np.random.default_rng(4)
@@ -307,8 +300,8 @@ def _fd_jacobian(d, E, theta, moments):
 
 JACOBIAN_CASES = [  # (family, theta scale); tsallis(0.5) reaches its cutoff
     (lambda: tsallis(0.5), 1.5), (lambda: tsallis(2.0), 0.3),
-    (lambda: quiet(cd_family, 0.7, 0.4), 0.5),
-    (lambda: quiet(stretched, 2.0), 0.5)]
+    (lambda: cd_family(0.7, 0.4), 0.5),
+    (lambda: stretched(2.0), 0.5)]
 
 
 def _jacobian_case(case, m):
@@ -352,7 +345,7 @@ class TestLargeFit:
         rng = np.random.default_rng(1000)
         E = ConfigMatrix(rng.normal(size=(1000, 3)))
         targets = E.E.T @ rng.dirichlet(np.full(1000, 2.0))
-        for d in (tsallis(0.5), quiet(cd_family, 0.7, 0.4)):
+        for d in (tsallis(0.5), cd_family(0.7, 0.4)):
             fam = fit(d, E, targets)
             got = (E.E.T @ fam.pmf.probs if fit is fit_linear_moments
                    else eta_coords(fam))

@@ -94,8 +94,7 @@ class TestLambertW:
             [src] + [p for p in [env.get("PYTHONPATH")] if p])
         out = subprocess.run(
             [sys.executable, "-c",
-             "import sys, warnings, phigeo, phigeo.cli; "
-             "warnings.simplefilter('ignore'); "
+             "import sys, phigeo, phigeo.cli; "
              f"phigeo.{build}; "
              "print('scipy.special' in sys.modules)"],
             env=env, capture_output=True, text=True, check=True)
