@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -14,6 +15,7 @@ from .deform import (Deformation, ProbVec, _phi_values, escort,
                      require_interior)
 from .errors import (ConvergenceError, DomainError, InfeasibleTargetError,
                      NoNormalizationError, RangeError)
+from .specfun import FIVE_POINT_STEP
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,10 @@ class ConfigMatrix:
 
 @dataclass(frozen=True)
 class PhiExpFamily:
-    """p_i = exp_phi(psi + theta . E_i) with psi caching the normalizer."""
+    """p_i = exp_phi(psi + theta . E_i) with psi caching the normalizer.
+
+    theta is a read-only copy, so psi, pmf and the cached stencil always
+    belong to it."""
     d: Deformation
     E: ConfigMatrix
     theta: np.ndarray
@@ -60,7 +65,27 @@ class PhiExpFamily:
     pmf: ProbVec
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
+        theta = np.array(self.theta, dtype=float)
+        theta.flags.writeable = False
+        object.__setattr__(self, "theta", theta)
+
+    @cached_property
+    def theta0_stencil(self):
+        """(h, P): the normalized pmfs at theta + k h e_0 for k = -2, -1,
+        1, 2, as the rows of the read-only array P, with h = max(|theta_0|,
+        1) * eps^(1/5).
+
+        Four normalize calls on first read, then kept, so every reference
+        distribution and estimator of a Cramer-Rao sweep shares them."""
+        h = max(abs(float(self.theta[0])), 1.0) * FIVE_POINT_STEP
+        rows = []
+        for k in (-2, -1, 1, 2):
+            t = self.theta.copy()
+            t[0] += k * h
+            rows.append(normalize(self.d, self.E, t).pmf.probs)
+        P = np.array(rows)
+        P.flags.writeable = False
+        return h, P
 
 
 def normalize(d: Deformation, E: ConfigMatrix, theta) -> PhiExpFamily:

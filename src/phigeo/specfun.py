@@ -16,9 +16,11 @@ from .errors import ConvergenceError, DomainError
 _EPS = float(np.finfo(float).eps)
 
 # Default finite-difference base steps: eps^(1/3) for gradients,
-# eps^(1/4) for Hessians (truncation/round-off balance).
+# eps^(1/4) for Hessians, eps^(1/5) for the 5-point first derivative
+# (truncation/round-off balance).
 GRAD_STEP = _EPS ** (1.0 / 3.0)
 HESS_STEP = _EPS ** 0.25
+FIVE_POINT_STEP = _EPS ** 0.2
 
 
 # The tolerance of every integral: absolute below a total of 1, relative
@@ -138,7 +140,10 @@ def upper_gamma(s: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 # Adaptive quadrature (Gauss-Kronrod 7-15, globally adaptive)
 
-_XGK = np.array([
+# Tuples of plain floats: with numpy arrays every node, integrand argument
+# and partial sum in _gk15 would be an np.float64, about twice as slow per
+# panel for the same bits.
+_XGK = (
     0.991455371120812639206854697526329,
     0.949107912342758524526189684047851,
     0.864864423359769072789712788640926,
@@ -147,8 +152,8 @@ _XGK = np.array([
     0.405845151377397166906606412076961,
     0.207784955007898467600689403773245,
     0.0,
-])
-_WGK = np.array([
+)
+_WGK = (
     0.022935322010529224963732008058970,
     0.063092092629978553290700663189204,
     0.104790010322250183839876322541518,
@@ -157,13 +162,13 @@ _WGK = np.array([
     0.190350578064785409913256402421014,
     0.204432940075298892414161999234649,
     0.209482141084727828012999174891714,
-])
-_WG = np.array([
+)
+_WG = (
     0.129484966168869693270611432679082,
     0.279705391489276667901467771423780,
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
-])
+)
 
 
 def _gk15(f, a, b):

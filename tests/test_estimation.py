@@ -10,6 +10,7 @@ from phigeo.estimation import (CRReport, Estimator, amari_identity_check,
                                naudts_identity_check)
 from phigeo.families import cd_family, identity, stretched, tsallis
 from phigeo.maxent import ConfigMatrix, normalize
+from phigeo.verify import run_suite
 
 
 E2 = ConfigMatrix(np.array([[0.0], [1.0]]))
@@ -112,6 +113,52 @@ class TestCRBound:
         assert isinstance(rep, CRReport)
         assert abs(rep.lhs - rep.rhs - rep.slack) < 1e-15
         assert rep.f_second > 0.0
+
+    @pytest.mark.parametrize("theta,P", [
+        # tsallis(2) sweeps where the central-difference f'' gave slack
+        # -2.91e-10 and -2.06e-10; the analytic f'' gives +2.81e-10 and
+        # +1.3e-13
+        (-0.2544133994352678,
+         [0.32738526423150033, 0.48512213500935975, 0.18749260075914004]),
+        (-0.06556704003651612,
+         [0.2613539901252978, 0.5557006570826896, 0.18294535279201274]),
+    ])
+    def test_bound_holds_where_central_difference_failed(self, theta, P):
+        fam = normalize(tsallis(2.0), E3, [theta])
+        rep = cr_report(fam, ProbVec(np.array(P)), Estimator(E3.E))
+        assert rep.slack >= -1e-10
+
+
+class TestMomentCurvature:
+    @pytest.mark.parametrize("d", FAMILIES, ids=lambda d: d.name)
+    def test_matches_analytic_oracle(self, d):
+        # f'' = c_0^T dp/dtheta_0 from the analytic Jacobian
+        est = Estimator(E3.E)
+        P = ProbVec(np.full(3, 1.0 / 3.0))
+        for theta in np.linspace(-0.3, 0.3, 200):
+            fam = normalize(d, E3, [theta])
+            oracle = float(est.c[:, 0] @ dp_dtheta(fam)[:, 0])
+            f2 = cr_report(fam, P, est).f_second
+            assert abs(f2 - oracle) <= 1e-11 * abs(oracle)
+
+    def test_cr_bound_suite_work(self, normalize_calls):
+        # per family: one normalize for theta, four for the stencil
+        run_suite("cr-bound", seed=0)
+        assert len(normalize_calls) == 15
+
+    def test_stencil_shared_by_references_and_estimators(self,
+                                                         normalize_calls):
+        rng = np.random.default_rng(3)
+        fam = normalize(tsallis(0.5), E3, [0.2])
+        refs = [ProbVec(rng.dirichlet(np.full(3, 2.0))) for _ in range(10)]
+        refs.append(escort(fam.d, fam.pmf))
+        before = len(normalize_calls)
+        for P in refs:
+            cr_report(fam, P, Estimator(E3.E))
+        assert len(normalize_calls) - before == 4
+        other = Estimator(np.array([[1.0], [0.0], [2.0]]))
+        cr_report(fam, refs[0], other)
+        assert len(normalize_calls) - before == 4
 
 
 class TestMetricIdentities:

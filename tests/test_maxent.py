@@ -88,6 +88,14 @@ class TestNormalize:
         with pytest.raises(DomainError):
             normalize(identity(), E3, [0.1, 0.2])
 
+    def test_theta_is_a_read_only_copy(self):
+        th = np.array([0.1])
+        fam = normalize(tsallis(2.0), E3, th)
+        th[0] = 0.25
+        assert fam.theta.tolist() == [0.1]
+        with pytest.raises(ValueError):
+            fam.theta[0] = 1.0
+
 
 class TestPsiForms:
     def test_theta_zero(self):
@@ -388,18 +396,6 @@ DESIGN_CASES = [
     # stall
     (fit_linear_moments, lambda: tsallis(3.0), 0),
 ]
-
-
-@pytest.fixture
-def normalize_calls(monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return normalize(*args)
-
-    monkeypatch.setattr(maxent, "normalize", counted)
-    return calls
 
 
 class TestEscortStall:
