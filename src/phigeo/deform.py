@@ -499,12 +499,48 @@ def escort(d: Deformation, p: ProbVec) -> ProbVec:
     return ProbVec(w / w.sum())
 
 
+def _first_zero_above_one(d: Deformation) -> float:
+    """The first zero of d's phi' above 1, or d.x_upper if phi' is positive
+    at every validation-grid point above 1.  The zero is bracketed by the
+    first grid point where phi' is not positive and the point (or 1) before
+    it, and bisected down to adjacent floats; the upper end, the least x
+    known to have phi' <= 0, is returned."""
+    above = validation_grid(d.x_upper)
+    above = above[above > 1.0]
+    with np.errstate(all="ignore"):
+        bad = np.flatnonzero(~(d.phi_prime(above) > 0.0))
+    if bad.size == 0:
+        return d.x_upper
+    k = int(bad[0])
+    lo = float(above[k - 1]) if k > 0 else 1.0
+    hi = float(above[k])
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if d._phi_prime(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return hi
+
+
 def chi_dual(d: Deformation) -> Deformation:
     """The deformation with generator chi = phi/phi', whose linear-constraint
-    metric is conformal to the escort-constraint metric of the original."""
+    metric is conformal to the escort-constraint metric of the original.
+
+    Since 1/chi = phi'/phi = (ln phi)', its log is closed:
+    log_chi(x) = ln phi(x) - ln phi(1), -inf where phi underflows to 0, and
+    a DomainError where phi(1) is 0 or infinite (stretched).  chi is a
+    generator only where phi' > 0, so its x_upper is the first zero of phi'
+    above 1 when that lies below d.x_upper; above it log_chi would fall."""
+    phi, phi_prime = d._phi, d._phi_prime
 
     def chi(x):
-        return d._phi(x) / d._phi_prime(x)
+        try:
+            return phi(x) / phi_prime(x)
+        except ZeroDivisionError:
+            raise DomainError(
+                f"chi({d.name}): phi' is 0 at x={x}") from None
 
     def chi_prime(x):
         # a central difference with a step relative to x, so that x - h
@@ -512,8 +548,22 @@ def chi_dual(d: Deformation) -> Deformation:
         h = GRAD_STEP * x
         return (chi(x + h) - chi(x - h)) / (2.0 * h)
 
-    return Deformation(f"chi({d.name})", chi, chi_prime,
-                       params=d.params, x_upper=d.x_upper, validate=False)
+    try:
+        phi_1 = phi(1.0)
+    except ZeroDivisionError:  # stretched(eta < 1): |ln 1| ** negative
+        phi_1 = math.inf
+    log_phi_1 = math.log(phi_1) if 0.0 < phi_1 < math.inf else None
+
+    def log_chi(x):
+        if log_phi_1 is None:
+            raise DomainError(
+                f"chi({d.name}): log_chi needs 0 < phi(1) < inf (got {phi_1})")
+        v = phi(x)
+        return math.log(v) - log_phi_1 if v != 0.0 else -math.inf
+
+    return Deformation(f"chi({d.name})", chi, chi_prime, params=d.params,
+                       log_closed=log_chi, x_upper=_first_zero_above_one(d),
+                       validate=False)
 
 
 def _probe_limit(vals, diverging_sign):

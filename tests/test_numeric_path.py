@@ -1,8 +1,10 @@
 """The numeric log/exp path: the lazily filled decade-anchor table, the
-range limits exp_of_log reads off it, and Newton inversion inside it."""
+range limits exp_of_log reads off it, and Newton inversion inside it; and
+chi_dual's closed log, checked against that path."""
 
 import ast
 import bisect
+import functools
 import math
 import pathlib
 import random
@@ -15,19 +17,36 @@ import numpy as np
 import pytest
 
 from phigeo import deform
-from phigeo.deform import Deformation, chi_dual, exp_of_log
-from phigeo.errors import ConvergenceError, PhigeoError, RangeError
+from phigeo.deform import Deformation, ProbVec, chi_dual, exp_of_log
+from phigeo.errors import ConvergenceError, DomainError, PhigeoError
 from phigeo.estimation import amari_identity_check
-from phigeo.families import cd_family, identity, tsallis
-from phigeo.geometry import conformal_check
+from phigeo.families import cd_family, identity, stretched, tsallis
+from phigeo.geometry import (conformal_check, divergence_naudts,
+                             entropy_naudts)
 from phigeo.maxent import ConfigMatrix, normalize
-from phigeo.specfun import integrate
+from phigeo.specfun import GRAD_STEP, integrate
+from phigeo.verify import _families
 
 
 def sqrt_generator():
     """phi = sqrt(x) given numerically: log = 2(sqrt(x) - 1) > -2."""
     return Deformation("sqrt", math.sqrt, lambda x: 0.5 / math.sqrt(x),
                        validate=False)
+
+
+def numeric_chi(d):
+    """chi = phi/phi' of d with no closed log, on d's whole x_upper: its
+    log integrates 1/chi from the decade anchors, a quadrature that shares
+    no code with chi_dual's closed ln phi(x) - ln phi(1)."""
+    def chi(x):
+        return d._phi(x) / d._phi_prime(x)
+
+    def chi_prime(x):
+        h = GRAD_STEP * x
+        return (chi(x + h) - chi(x - h)) / (2.0 * h)
+
+    return Deformation(f"numeric chi({d.name})", chi, chi_prime,
+                       params=d.params, x_upper=d.x_upper, validate=False)
 
 
 def eager_anchors(d):
@@ -134,7 +153,7 @@ def integrate_calls(monkeypatch):
 
 LAZY_CASES = {
     "exp_of_log(tsallis(0.5))": lambda: exp_of_log(tsallis(0.5)),
-    "chi_dual(cd(0.7,0.4))": lambda: chi_dual(cd_family(0.7, 0.4)),
+    "numeric_chi(cd(0.7,0.4))": lambda: numeric_chi(cd_family(0.7, 0.4)),
     "x^2 below x_upper=50": lambda: Deformation(
         "sq", lambda x: x * x, lambda x: 2.0 * x, x_upper=50.0,
         validate=False),
@@ -172,7 +191,7 @@ class TestLazyAnchors:
         assert table.vs[table.lo:table.hi + 1] == vs_ref
 
     def test_concurrent_fills_match_eager_table(self):
-        d = chi_dual(tsallis(0.5))  # nothing is filled at construction
+        d = numeric_chi(tsallis(0.5))  # nothing is filled at construction
         xs_ref, vs_ref = eager_anchors(d)
         points = np.geomspace(3e-13, 900.0, 30).tolist()
         errors = []
@@ -460,14 +479,6 @@ class TestNumericLog:
 
 
 class TestOutsideTheTable:
-    @pytest.mark.parametrize("x", [1.5, 2.5, 3.1])
-    def test_chi_of_cd_above_top_anchor_raises(self, x):
-        # chi's table stops at 1 (x_upper ~ 3.49); the upward search steps
-        # past x_upper at once
-        chi = chi_dual(cd_family(0.8, 0.5))
-        with pytest.raises(RangeError, match="out of range"):
-            chi.exp(chi.log(x))
-
     @pytest.mark.parametrize("y", [-1.9999999, -1.99999999999])
     def test_below_table_inversion(self, y):
         # below log(1e-12) = -1.999998, above the bound -2; the exact
@@ -503,6 +514,120 @@ class TestOutsideTheTable:
                          + mpmath.e) / mpmath.e
                     u -= (F - target) / (mpmath.exp(u - 1) / u ** 2)
                 assert abs(x * u - 1) <= 1.2e-13, (y, x)
+
+
+CHI_BASES = {
+    "identity": identity,
+    "tsallis(0.5)": lambda: tsallis(0.5),
+    "tsallis(2)": lambda: tsallis(2.0),
+    "tsallis(1.4)": lambda: tsallis(1.4),
+    "cd(0.7,0.4)": lambda: cd_family(0.7, 0.4),
+    "cd(0.8,0.5)": lambda: cd_family(0.8, 0.5),
+    "cd(0.8,-0.5)": lambda: cd_family(0.8, -0.5),
+}
+
+
+class TestChiClosedLog:
+    """chi_dual's log is ln phi(x) - ln phi(1), since 1/chi = (ln phi)',
+    and its x_upper is the first zero of phi' above 1."""
+
+    def test_log_matches_quadrature_of_phi_prime_over_phi(self):
+        covered = 0
+        for label, d in _families():
+            try:
+                phi_1 = d.phi(1.0)
+            except ZeroDivisionError:  # stretched(0.5): phi blows up at 1
+                continue
+            if not 0.0 < phi_1 < math.inf:
+                continue
+            covered += 1
+            chi = chi_dual(d)
+            f = lambda y: d.phi_prime(y) / d.phi(y)
+            xs = np.geomspace(1e-12, 0.9 * min(1e3, chi.x_upper), 41).tolist()
+            # integral_1^x f, carried outward from 1 over neighbouring x
+            for side in ([x for x in xs if x < 1.0][::-1],
+                         [x for x in xs if x >= 1.0]):
+                a, ref = 1.0, 0.0
+                for x in side:
+                    ref += integrate(f, a, x)
+                    a, got = x, chi.log(x)
+                    assert abs(got - ref) <= 1e-12 * max(1.0, abs(got)), \
+                        (label, x)
+        assert covered == 8
+
+    @pytest.mark.parametrize("c, d", [(0.8, 0.5), (0.7, 0.4), (1.0, 0.5)])
+    def test_x_upper_is_the_zero_of_phi_prime(self, c, d):
+        base = cd_family(c, d)
+        top = chi_dual(base).x_upper
+        assert top < base.x_upper
+        assert base.phi_prime(top * (1.0 - 1e-9)) > 0.0
+        assert base.phi_prime(top * (1.0 + 1e-9)) <= 0.0
+        if c == 1.0:  # phi' = sqrt(u) - 1/(2 sqrt(u)), u = 1 - ln x
+            assert abs(top - math.sqrt(math.e)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["identity", "tsallis(0.5)",
+                                      "tsallis(2)", "cd(0.8,-0.5)"])
+    def test_x_upper_kept_where_phi_prime_stays_positive(self, name):
+        d = CHI_BASES[name]()
+        assert chi_dual(d).x_upper == d.x_upper
+
+    @pytest.mark.parametrize("x", [1.5, 2.5, 3.1])
+    def test_chi_of_cd_round_trip_up_to_x_upper(self, x):
+        # chi of cd(0.8,0.5) is a generator below the zero of phi' at
+        # ~2.53, not up to the base's x_upper ~3.49
+        chi = chi_dual(cd_family(0.8, 0.5))
+        if x < chi.x_upper:
+            assert abs(chi.exp(chi.log(x)) - x) <= 1e-12 * x
+        else:
+            with pytest.raises(DomainError):
+                chi.log(x)
+
+    @pytest.mark.parametrize("name", ["cd(0.7,0.4)", "tsallis(0.5)"])
+    def test_naudts_integrals_match_numeric_chi(self, name):
+        # The numeric chi's entropy integrates a quadrature of 1/chi out to
+        # x = e^-200, about 1 s per call on cd.  Its log is memoized, and
+        # both p have the smallest entry 0.01, so that the n = 24 entropy
+        # reuses the n = 3 one's tail; the values are the same.  q lies
+        # halfway to p, which halves the divergence's nested quadrature.
+        base = CHI_BASES[name]
+        chi, ref = chi_dual(base()), numeric_chi(base())
+        ref.log = functools.lru_cache(maxsize=None)(ref.log)
+        rng = np.random.default_rng(7)
+        for n in (3, 24):
+            rest = 0.01 + (0.99 - 0.01 * (n - 1)) * rng.dirichlet(np.ones(n - 1))
+            p = ProbVec(np.concatenate([[0.01], rest]))
+            q = ProbVec(0.5 * (p.probs + rng.dirichlet(np.ones(n))))
+            for f, args in ((entropy_naudts, (p,)),
+                            (divergence_naudts, (p, q))):
+                got, want = f(chi, *args), f(ref, *args)
+                assert abs(got - want) <= 1e-12 * abs(want), (f, n)
+
+    @pytest.mark.parametrize("eta", [0.5, 2.0])
+    def test_log_raises_where_phi_1_is_not_finite_positive(self, eta):
+        chi = chi_dual(stretched(eta))  # builds: phi(1) is inf or 0
+        with pytest.raises(DomainError):
+            chi.log(0.5)
+
+    def test_underflowing_chi_raises_domain_error(self):
+        # phi and phi' of cd(0.7,0.4) both underflow to 0 at x = 1e-280
+        with pytest.raises(DomainError):
+            chi_dual(cd_family(0.7, 0.4)).phi(1e-280)
+
+    @pytest.mark.parametrize("name", ["tsallis(0.5)", "tsallis(2)",
+                                      "tsallis(1.4)", "cd(0.8,0.5)"])
+    def test_round_trip_integrates_nothing(self, name, integrate_calls):
+        # the bases of the benchmark's duality workload
+        chi = chi_dual(CHI_BASES[name]())
+        for x in (1e-3, 0.5, 0.999, 2.0):
+            assert abs(chi.exp(chi.log(x)) - x) <= 1e-12 * max(x, 1.0)
+        assert integrate_calls[0] == 0
+
+    def test_exp_below_underflow_fails_without_quadrature(
+            self, integrate_calls):
+        # the answer lies where phi underflows and the log reads -inf
+        with pytest.raises(ConvergenceError):
+            chi_dual(cd_family(0.7, 0.4)).exp(-1e3)
+        assert integrate_calls[0] == 0
 
 
 SWEEP_CASES = {
