@@ -13,7 +13,6 @@ from .families import CdParams, auto_r, cd_family, cd_params, identity, \
 from .geometry import (DualityReport, MetricMatrix, cd_entropy_aligned,
                        cd_entropy_alignment_constant, cd_entropy_closed,
                        cd_metrics_closed, conformal_check, divergence_amari,
-                       divergence_bregman, divergence_csiszar,
                        divergence_naudts, entropy_amari, entropy_from_phi_nu,
                        entropy_naudts, metric_amari, metric_fd_oracle,
                        metric_naudts, t_operator, ts_metric_transform)

@@ -375,52 +375,48 @@ class Deformation:
         return out
 
     def _invert_log(self, y):
-        """exp(y) by _newton_log inside a bracket: two neighbouring anchors
-        of a numeric log or validation-grid points of a closed one, else
-        decade steps below or above them."""
-        if self.log_closed is None:
-            xs, vs = self._anchors.reach(y)
-        else:
-            xs = validation_grid(self.x_upper).tolist()
-            vs = self.log(np.array(xs)).tolist()
+        """exp(y) by _newton_log between two neighbouring anchors of a
+        numeric log, else by _search from the table's end nearer to y, or
+        from (1, 0) for a closed log."""
+        if self.log_closed is not None:
+            return self._search(y, 1.0, 0.0)
+        xs, vs = self._anchors.reach(y)
         i = bisect.bisect_left(vs, y)
         if 0 < i < len(vs):
             return self._newton_log(y, xs[i - 1], vs[i - 1], xs[i], vs[i])
-        if i == 0:
-            return self._search_down(y, xs[0], vs[0])
-        b, log_b = xs[-1], vs[-1]
-        while log_b < y:
-            a, log_a = b, log_b
-            b *= 10.0
-            if b > min(self.x_upper, 1e300):
-                raise RangeError(f"{self.name}: exp_phi({y}) out of range")
-            log_b = self._log_from(a, log_a, b)
-        return self._newton_log(y, a, log_a, b, log_b)
+        i = min(i, len(vs) - 1)
+        return self._search(y, xs[i], vs[i])
 
-    def _search_down(self, y, b, log_b):
-        """exp(y) for y <= log(b): decade steps down from b until log < y,
-        or the cutoff 0 once a step passes x = 1e-300.  A step where the
-        log is not finite (the generator underflows there) is replaced by
-        the geometric midpoint toward the last good point."""
-        bad = 0.0  # the highest step whose log was not finite
-        a = 0.1 * b
+    def _search(self, y, x, log_x):
+        """exp(y) by decade steps from (x, log x) away from x = 1 (down for
+        y <= log x) until the log passes y, then _newton_log on the last
+        two points.  A step that would reach the edge goes to the geometric
+        midpoint toward it: the nearest step whose log was not finite, else
+        0 below and x_upper above.  Below x = 1e-300 exp is the cutoff 0;
+        past 1e300, or with the bracket closed on its edge, it raises
+        RangeError above and ConvergenceError below."""
+        down = y <= log_x
+        edge, factor = (0.0, 0.1) if down else (self.x_upper, 10.0)
         while True:
-            if a < 1e-300:
+            t = factor * x
+            if not min(x, edge) < t < max(x, edge):
+                t = math.sqrt(edge) * math.sqrt(x)
+            if not min(x, edge) < t < max(x, edge) or t > 1e300:
+                raise (ConvergenceError if down else RangeError)(
+                    f"{self.name}: exp_phi({y}) not found beyond x={x}")
+            if t < 1e-300:
                 return 0.0
             try:
-                log_a = self._log_from(b, log_b, a)
+                log_t = self._log_from(x, log_x, t)
             except (ZeroDivisionError, OverflowError):
-                log_a = math.nan
-            if not math.isfinite(log_a):
-                bad = a
-            elif log_a < y:
-                return self._newton_log(y, a, log_a, b, log_b)
+                log_t = math.nan
+            if not math.isfinite(log_t):
+                edge = t
+            elif (log_t < y) == down:  # the step passed y
+                return (self._newton_log(y, t, log_t, x, log_x) if down
+                        else self._newton_log(y, x, log_x, t, log_t))
             else:
-                b, log_b = a, log_a
-            a = math.sqrt(bad) * math.sqrt(b) if bad > 0.0 else 0.1 * b
-            if not bad < a < b:
-                raise ConvergenceError(
-                    f"{self.name}: exp_phi({y}): no finite log below x={b}")
+                x, log_x = t, log_t
 
     def _newton_log(self, y, a, log_a, b, log_b):
         """The x in [a, b] with log(x) = y, for log_a < y <= log_b.  Newton
@@ -550,7 +546,7 @@ def chi_dual(d: Deformation) -> Deformation:
 
     try:
         phi_1 = phi(1.0)
-    except ZeroDivisionError:  # stretched(eta < 1): |ln 1| ** negative
+    except DomainError:  # stretched(eta < 1) blows up at x = 1
         phi_1 = math.inf
     log_phi_1 = math.log(phi_1) if 0.0 < phi_1 < math.inf else None
 
@@ -594,7 +590,10 @@ def exp_of_log(d: Deformation) -> Deformation:
         return math.exp(d.log(x))
 
     def xi_prime(x):
-        return xi(x) / d._phi(x)
+        v = d._phi(x)
+        if v == 0.0:
+            raise DomainError(f"exp_of_log({d.name}): phi is 0 at x={x}")
+        return xi(x) / v
 
     def inv_xi(y):
         # clamp: values beyond exp(700) only occur when the limit integral

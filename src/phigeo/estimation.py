@@ -92,7 +92,7 @@ def cr_report(fam: PhiExpFamily, P: ProbVec, est: Estimator) -> CRReport:
     require_interior(P, "cr_report")
     f2 = _moment_curvature(fam, est)
     if abs(f2) < 1e-14:
-        raise ZeroDivisionError("moment curvature vanishes; bound undefined")
+        raise DomainError("moment curvature vanishes; bound undefined")
     w = P.probs
     c0 = est.c[:, 0]
     var = float(w @ (c0 * c0) - (w @ c0) * (w @ c0))

@@ -67,7 +67,8 @@ def stretched(eta: float) -> Deformation:
     (Anteneodo-Plastino) deformation, eta > 0, eta != 1.
 
     The deformed log is the signed power sign(log x) * |log x|^(1/eta); the
-    generator vanishes (eta > 1) or blows up (eta < 1) at x = 1.
+    generator vanishes (eta > 1) or blows up (eta < 1) at x = 1, where phi
+    (eta < 1) and phi' raise DomainError.
     """
     if eta <= 0.0 or eta == 1.0:
         raise DomainError("stretched: requires eta > 0, eta != 1")
@@ -81,10 +82,15 @@ def stretched(eta: float) -> Deformation:
         return m.exp(m.copysign(abs(y) ** eta, y))
 
     def phi_s(x, m=ScalarOps):
-        return eta * x * abs(m.log(x)) ** (1.0 - inv)
+        u = m.log(x)
+        if eta < 1.0 and m.any(u == 0.0):
+            raise DomainError("stretched: phi blows up at x = 1")
+        return eta * x * abs(u) ** (1.0 - inv)
 
     def phi_s_prime(x, m=ScalarOps):
         u = m.log(x)
+        if m.any(u == 0.0):
+            raise DomainError("stretched: phi' blows up at x = 1")
         return (eta * abs(u) ** (1.0 - inv)
                 + (eta - 1.0) * m.copysign(abs(u) ** (-inv), u))
 

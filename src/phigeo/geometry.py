@@ -130,18 +130,6 @@ def divergence_amari(d: Deformation, p: ProbVec, q: ProbVec) -> float:
     return float(phis @ (d.log(p.probs) - d.log(q.probs))) / float(phis.sum())
 
 
-def divergence_csiszar(f, p: ProbVec, q: ProbVec) -> float:
-    """Csiszar f-divergence sum_i q_i f(p_i/q_i) for convex f with f(1)=0."""
-    require_interior(q, "divergence_csiszar")
-    return sum(qj * f(pj / qj) for pj, qj in zip(p.probs, q.probs))
-
-
-def divergence_bregman(F, gradF, p: ProbVec, q: ProbVec) -> float:
-    """Bregman divergence F(p) - F(q) - <grad F(q), p - q>."""
-    g = np.asarray(gradF(q), dtype=float)
-    return float(F(p) - F(q) - g @ (p.probs - q.probs))
-
-
 # ---------------------------------------------------------------------------
 # Metrics
 
@@ -244,13 +232,11 @@ def cd_entropy_closed(params: CdParams, p: ProbVec) -> float:
     return r * A ** (-d) * math.exp(A) * s - r * c
 
 
-def cd_entropy_aligned(params: CdParams, p: ProbVec,
-                       constant: float | None = None) -> float:
+def cd_entropy_aligned(params: CdParams, p: ProbVec, constant: float) -> float:
     """Closed-form (c,d)-entropy mapped onto the integral-form convention:
     divide out the factor c, then shift by a constant fixed once at the
     uniform distribution (see cd_entropy_alignment_constant)."""
-    base = cd_entropy_closed(params, p) / params.c
-    return base + (constant if constant is not None else 0.0)
+    return cd_entropy_closed(params, p) / params.c + constant
 
 
 def cd_entropy_alignment_constant(params: CdParams, n: int) -> float:

@@ -104,7 +104,7 @@ class TestCRBound:
     def test_zero_curvature_rejected(self):
         fam = normalize(identity(), E3, [0.2])
         # constant estimator has zero moment derivative
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(DomainError):
             cr_report(fam, fam.pmf, Estimator(np.full((3, 1), 2.0)))
 
     def test_report_fields(self):

@@ -46,6 +46,27 @@ class TestClosedFamilies:
         with pytest.raises(DomainError):
             stretched(1.0)
 
+    @pytest.mark.parametrize("eta, what", [(0.5, "phi"), (0.5, "phi_prime"),
+                                           (2.0, "phi_prime")])
+    def test_stretched_singular_point_raises_domain_error(self, eta, what):
+        # phi blows up at x = 1 for eta < 1, and phi' does for every eta;
+        # the array path raises too, and emits no warning
+        f = getattr(stretched(eta), what)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (1.0, np.array([0.5, 1.0, 2.0])):
+                with pytest.raises(DomainError):
+                    f(x)
+
+    def test_stretched_phi_vanishes_at_one_for_eta_above_one(self):
+        assert stretched(2.0).phi(1.0) == 0.0
+        assert stretched(2.0).phi(np.array([1.0])).tolist() == [0.0]
+
+    def test_xi_prime_raises_where_phi_vanishes(self):
+        # xi' = xi/phi, and phi of stretched(2) is 0 at x = 1
+        with pytest.raises(DomainError):
+            exp_of_log(stretched(2.0)).phi_prime(1.0)
+
     def test_log_derivative_is_inverse_phi(self):
         for d in [tsallis(0.7), stretched(2.0)]:
             for x in [0.1, 0.5, 2.0]:

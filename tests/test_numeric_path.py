@@ -16,9 +16,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from phigeo import deform
+from phigeo import deform, errors
 from phigeo.deform import Deformation, ProbVec, chi_dual, exp_of_log
-from phigeo.errors import ConvergenceError, DomainError, PhigeoError
+from phigeo.errors import (ConvergenceError, DomainError, PhigeoError,
+                           RangeError)
 from phigeo.estimation import amari_identity_check
 from phigeo.families import cd_family, identity, stretched, tsallis
 from phigeo.geometry import (conformal_check, divergence_naudts,
@@ -536,7 +537,7 @@ class TestChiClosedLog:
         for label, d in _families():
             try:
                 phi_1 = d.phi(1.0)
-            except ZeroDivisionError:  # stretched(0.5): phi blows up at 1
+            except DomainError:  # stretched(0.5): phi blows up at 1
                 continue
             if not 0.0 < phi_1 < math.inf:
                 continue
@@ -630,6 +631,54 @@ class TestChiClosedLog:
         assert integrate_calls[0] == 0
 
 
+class TestOutwardSearch:
+    """exp without a closed form searches outward from the table's end, or
+    from x = 1 for a closed log, and halves its way toward a finite
+    x_upper instead of stepping a decade past it."""
+
+    @pytest.mark.parametrize("c, d", [(0.8, 0.5), (0.7, 0.4), (1.0, 0.5)])
+    def test_xi_of_cd_round_trip_up_to_x_upper(self, c, d):
+        # xi's anchor table ends at x = 1, below x_upper = 3.49, 4.17, e
+        xi = exp_of_log(cd_family(c, d))
+        for x in np.geomspace(1.0, 0.99 * xi.x_upper, 12)[1:].tolist():
+            assert abs(xi.exp(xi.log(x)) - x) <= 1e-12 * x, x
+
+    @pytest.mark.parametrize("x", [12.0, 30.0, 49.0])
+    def test_round_trip_between_top_anchor_and_x_upper(self, x):
+        # the table's top anchor is 10; a decade step would reach 100
+        d = LAZY_CASES["x^2 below x_upper=50"]()
+        assert abs(d.exp(d.log(x)) - x) <= 1e-12 * x
+
+    @pytest.mark.parametrize("name", ["tsallis(0.5)", "tsallis(2)",
+                                      "tsallis(1.4)", "cd(0.8,0.5)"])
+    def test_closed_log_exp_builds_no_table(self, name, monkeypatch):
+        # the bases of the benchmark's duality workload
+        chi = chi_dual(CHI_BASES[name]())
+        logs, grids = [0], [0]
+
+        def counted(f, calls):
+            def wrapped(*args):
+                calls[0] += 1
+                return f(*args)
+            return wrapped
+
+        monkeypatch.setattr(chi, "log_closed", counted(chi.log_closed, logs))
+        monkeypatch.setattr(deform, "validation_grid",
+                            counted(deform.validation_grid, grids))
+        for x in (1e-3, 0.5, 0.999, 2.0):
+            y = chi.log(x)
+            logs[0] = 0
+            assert abs(chi.exp(y) - x) <= 1e-12 * max(x, 1.0)
+            assert logs[0] <= 8, x
+        assert grids[0] == 0
+
+    @pytest.mark.parametrize("y", [5.0, 1e300])
+    def test_exp_past_the_log_at_x_upper_raises_range_error(self, y):
+        # log_chi is bounded by its value at x_upper ~2.53, well below 5
+        with pytest.raises(RangeError):
+            chi_dual(cd_family(0.8, 0.5)).exp(y)
+
+
 SWEEP_CASES = {
     "exp_of_log(tsallis(0.5))": lambda: exp_of_log(tsallis(0.5)),
     "exp_of_log(tsallis(2))": lambda: exp_of_log(tsallis(2.0)),
@@ -682,3 +731,39 @@ def test_no_broad_except_in_source():
             if {"bare", "Exception", "BaseException"} & set(names):
                 broad.append(f"{path.name}:{node.lineno}")
     assert broad == []
+
+
+def test_every_raise_names_a_phigeo_error():
+    """Every raise in the package names a PhigeoError subclass, except the
+    allow-list: _gk15's OverflowError (the integrand overflowed, which the
+    numeric log treats as a failed step), the AttributeError of
+    _ProbedLimits.__getattr__ (the attribute protocol), and the cli's three
+    usage errors (main reports a ValueError as exit 2)."""
+    def raised(exc):
+        exc = exc.func if isinstance(exc, ast.Call) else exc
+        if isinstance(exc, ast.IfExp):
+            return raised(exc.body) + raised(exc.orelse)
+        return [exc.id if isinstance(exc, ast.Name) else ast.unparse(exc)]
+
+    def raises(node, func):
+        """(innermost enclosing function, raised expression) of each raise."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                yield from raises(child, child.name)
+            elif isinstance(child, ast.Raise) and child.exc is not None:
+                yield func, child.exc
+            else:
+                yield from raises(child, func)
+
+    src = pathlib.Path(deform.__file__).parent
+    untyped = []
+    for path in sorted(src.glob("*.py")):
+        for func, exc in raises(ast.parse(path.read_text()), None):
+            for name in raised(exc):
+                cls = getattr(errors, name, None)
+                if not (isinstance(cls, type) and issubclass(cls, PhigeoError)):
+                    untyped.append(f"{path.name}:{func}:{name}")
+    assert sorted(untyped) == [
+        "cli.py:_eval_input:ValueError", "cli.py:build_family:ValueError",
+        "cli.py:cmd_figure:ValueError", "deform.py:__getattr__:AttributeError",
+        "specfun.py:_gk15:OverflowError"]
