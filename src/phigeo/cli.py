@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -18,7 +19,7 @@ import numpy as np
 from .deform import Deformation, ProbVec, escort, h_phi, ts_dual
 from .errors import (ConvergenceError, DivergentIntegralError,
                      InfeasibleTargetError, PhigeoError)
-from .families import cd_family, identity, stretched, tsallis
+from .families import cd_family, cd_lattice, identity, stretched, tsallis
 from . import geometry as geo
 from .maxent import (ConfigMatrix, eta_coords, fit_escort_moments,
                      fit_linear_moments, psi_forms, varphi_dual)
@@ -30,10 +31,6 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_NO_CONVERGENCE = 4
-
-
-def _fmt(v):
-    return f"{v:.17g}"
 
 
 def _ts_base(args) -> Deformation:
@@ -94,8 +91,14 @@ QUANTITIES = {
 def _eval_input(args, name):
     value = getattr(args, name)
     if value is None:
-        raise ValueError(f"--{name} is required for --what {args.what}")
-    return value if name == "x" else _parse_probvec(value)
+        problem = "is required"
+    elif name == "x" and not math.isfinite(value):
+        problem = "must be finite"
+    elif name == "x" and args.what == "phi" and value < 0.0:
+        problem = "must be nonnegative"
+    else:
+        return value if name == "x" else _parse_probvec(value)
+    raise ValueError(f"--{name} {problem} for --what {args.what}")
 
 
 def cmd_eval(args) -> int:
@@ -153,69 +156,76 @@ def _fig1_families():
 
 
 def _write_csv(path, header, rows):
+    """One line per row, every value printed as %.17g."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
+
+
+def _fig1(out):
+    fams = _fig1_families()
+    ps = [0.01 + 0.0025 * i for i in range(393)]
+    rows_n, rows_a, rows_cr = [], [], []
+    for pv in ps:
+        prob = ProbVec(np.array([pv, 1.0 - pv]))
+        rn, ra, rc = [pv], [pv], [pv]
+        for _, d in fams:
+            gN = geo.metric_naudts(d, prob).entries[0, 0]
+            gA = geo.metric_amari(d, prob).entries[0, 0]
+            info = h_phi(d, prob) * gN
+            rn.append(gN)
+            ra.append(gA)
+            rc.extend([info, 1.0 / info])
+        rows_n.append(rn)
+        rows_a.append(ra)
+        rows_cr.append(rc)
+    labels = [lab for lab, _ in fams]
+    _write_csv(os.path.join(out, "fig1_naudts.csv"),
+               ["p"] + [f"value_{l}" for l in labels], rows_n)
+    _write_csv(os.path.join(out, "fig1_amari.csv"),
+               ["p"] + [f"value_{l}" for l in labels], rows_a)
+    crh = ["p"]
+    for l in labels:
+        crh.extend([f"info_{l}", f"bound_{l}"])
+    _write_csv(os.path.join(out, "fig1_crbound.csv"), crh, rows_cr)
+
+
+def fig2_metrics(c, d, p):
+    """(status, g^N, g^A) over flat arrays of (c, d) cells, from one
+    cd_lattice call: cd_lattice's status, and the metrics of cd_family(c, d)
+    at the two-point p as metric_naudts and metric_amari give them, NaN
+    where the family does not build or either value is not finite."""
+    status, phis, dphis = cd_lattice(c, d, p.probs)
+    with np.errstate(all="ignore"):
+        inv = 1.0 / phis
+        ratio = dphis / phis
+        g_n = inv[:, 1] + inv[:, 0]
+        g_a = (ratio[:, 1] + ratio[:, 0]) / (phis[:, 0] + phis[:, 1])
+    bad = ~(np.isfinite(g_n) & np.isfinite(g_a))
+    g_n[bad] = g_a[bad] = np.nan
+    return status, g_n, g_a
+
+
+def _fig2(out):
+    cs = [0.2 + 0.02 * i for i in range(61)]
+    ds = [-1.0 + 0.05 * i for i in range(61)]
+    points = [(c, dd) for c in cs for dd in ds]
+    c, d = np.array(points).T
+    _, g_n, g_a = fig2_metrics(c, d, ProbVec(np.array([1.0 / 3.0, 2.0 / 3.0])))
+    for name, g in (("fig2_naudts.csv", g_n), ("fig2_amari.csv", g_a)):
+        _write_csv(os.path.join(out, name), ["c", "d", "value"],
+                   [[*point, v] for point, v in zip(points, g.tolist())])
+
+
+# --which: the function that writes each figure's CSVs into --out.
+FIGURES = {"fig1": _fig1, "fig2": _fig2}
 
 
 def cmd_figure(args) -> int:
     os.makedirs(args.out, exist_ok=True)
-    if args.which == "fig1":
-        fams = _fig1_families()
-        ps = [0.01 + 0.0025 * i for i in range(393)]
-        rows_n, rows_a, rows_cr = [], [], []
-        for pv in ps:
-            prob = ProbVec(np.array([pv, 1.0 - pv]))
-            rn, ra, rc = [pv], [pv], [pv]
-            for _, d in fams:
-                gN = geo.metric_naudts(d, prob).entries[0, 0]
-                gA = geo.metric_amari(d, prob).entries[0, 0]
-                info = h_phi(d, prob) * gN
-                rn.append(gN)
-                ra.append(gA)
-                rc.extend([info, 1.0 / info])
-            rows_n.append(rn)
-            rows_a.append(ra)
-            rows_cr.append(rc)
-        labels = [lab for lab, _ in fams]
-        _write_csv(os.path.join(args.out, "fig1_naudts.csv"),
-                   ["p"] + [f"value_{l}" for l in labels], rows_n)
-        _write_csv(os.path.join(args.out, "fig1_amari.csv"),
-                   ["p"] + [f"value_{l}" for l in labels], rows_a)
-        crh = ["p"]
-        for l in labels:
-            crh.extend([f"info_{l}", f"bound_{l}"])
-        _write_csv(os.path.join(args.out, "fig1_crbound.csv"), crh, rows_cr)
-        return EXIT_OK
-
-    if args.which == "fig2":
-        cs = [0.2 + 0.02 * i for i in range(61)]
-        ds = [-1.0 + 0.05 * i for i in range(61)]
-        prob = ProbVec(np.array([1.0 / 3.0, 2.0 / 3.0]))
-        points = [(c, dd) for c in cs for dd in ds]
-
-        def one(point):
-            c, dd = point
-            try:
-                fam = cd_family(c, dd)
-                gN = geo.metric_naudts(fam, prob).entries[0, 0]
-                gA = geo.metric_amari(fam, prob).entries[0, 0]
-                if not (math.isfinite(gN) and math.isfinite(gA)):
-                    return (math.nan, math.nan)
-                return (gN, gA)
-            except PhigeoError:
-                return (math.nan, math.nan)
-
-        values = [one(point) for point in points]
-        rows_n = [[c, dd, v[0]] for (c, dd), v in zip(points, values)]
-        rows_a = [[c, dd, v[1]] for (c, dd), v in zip(points, values)]
-        _write_csv(os.path.join(args.out, "fig2_naudts.csv"),
-                   ["c", "d", "value"], rows_n)
-        _write_csv(os.path.join(args.out, "fig2_amari.csv"),
-                   ["c", "d", "value"], rows_a)
-        return EXIT_OK
-    raise ValueError(f"unknown figure {args.which}")
+    FIGURES[args.which](args.out)
+    return EXIT_OK
 
 
 def cmd_table2(args) -> int:
@@ -294,7 +304,10 @@ def cmd_table2(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args returns a
+    fresh Namespace and leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="phigeo",
         description="deformed-logarithm information geometry toolkit")
@@ -330,7 +343,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_fit)
 
     sp = sub.add_parser("figure", help="emit figure data as CSV")
-    sp.add_argument("--which", required=True, choices=["fig1", "fig2"])
+    sp.add_argument("--which", required=True, choices=list(FIGURES))
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_figure)
 

@@ -183,8 +183,13 @@ class ProbVec:
             raise DomainError("ProbVec needs a vector of length >= 2")
         if np.any(p < -1e-15):
             raise DomainError("ProbVec entries must be nonnegative")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise DomainError(f"ProbVec entries must sum to 1 (got {p.sum()!r})")
+        total = p.sum()
+        if not abs(total - 1.0) <= 1e-12:  # a NaN entry fails here too
+            bad = p[~np.isfinite(p)]
+            raise DomainError(
+                "ProbVec entries must sum to 1 "
+                + (f"(non-finite entries {bad.tolist()})" if bad.size
+                   else f"(got {total!r})"))
         self.probs = np.clip(p, 0.0, None)
         self.interior = bool(np.all(self.probs > 0.0))
 

@@ -1,6 +1,11 @@
 import argparse
+import gzip
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -9,8 +14,9 @@ import pytest
 from phigeo import cli
 from phigeo import geometry as geo
 from phigeo.cli import main, make_parser
-from phigeo.deform import ProbVec, h_phi, ts_dual
-from phigeo.families import cd_family, identity, stretched, tsallis
+from phigeo.deform import Deformation, ProbVec, h_phi, ts_dual
+from phigeo.errors import DomainError
+from phigeo.families import CD_STATUS, cd_family, identity, stretched, tsallis
 from phigeo.verify import SUITES, run_suite
 
 
@@ -59,6 +65,20 @@ class TestEval:
         code, _ = run(capsys, "eval", "--family", "tsallis", "--q", "1.0",
                       "--what", "log", "--x", "0.5")
         assert code == 2
+
+    @pytest.mark.parametrize("x", ["-1", "nan", "inf"])
+    def test_bad_x_for_phi_is_usage_error(self, capsys, x):
+        # -1 once raised a TypeError from json.dumps (x ** 0.5 is complex),
+        # nan and inf printed a non-JSON value with exit 0
+        code, out = run(capsys, "eval", "--family", "tsallis", "--q", "0.5",
+                        "--what", "phi", "--x", x)
+        assert (code, out) == (2, "")
+
+    def test_nan_probability_is_usage_error(self, capsys):
+        # once read as a zero probability: {"value": 1.0}, exit 0
+        code, out = run(capsys, "eval", "--family", "tsallis", "--q", "0.5",
+                        "--what", "h", "--p", "nan,1")
+        assert (code, out) == (2, "")
 
     def test_unknown_subcommand(self, capsys):
         code = main(["frobnicate"])
@@ -148,6 +168,7 @@ class TestTables:
     """The CLI's choices and input checks come from its tables."""
 
     def test_choices(self):
+        assert _choices("figure", "which") == list(cli.FIGURES)
         assert _choices("eval", "family") == list(cli.FAMILIES)
         assert _choices("fit", "family") == list(cli.FAMILIES)
         assert _choices("eval", "what") == list(cli.QUANTITIES)
@@ -165,6 +186,44 @@ class TestTables:
             kept = (f for n in inputs if n != dropped for f in given[n])
             code, _ = run(capsys, *argv, *kept)
             assert code == 2
+
+
+class TestParserReuse:
+    """main builds its parser once per process, and no call sees the flags
+    of an earlier one."""
+
+    def test_one_parser_for_many_calls(self, capsys, monkeypatch):
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        make_parser.cache_clear()
+        for _ in range(100):
+            code, _ = run(capsys, "eval", "--family", "shannon",
+                          "--what", "log", "--x", "0.5")
+            assert code == 0
+        # the main parser and one per subcommand, built by the first call
+        sub = next(a for a in make_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert progs.count("phigeo") == 1
+        assert len(progs) == 1 + len(sub.choices)
+
+    def test_omitted_flag_is_not_remembered(self, capsys):
+        log = ["eval", "--family", "cd", "--c", "0.7", "--d", "0.4",
+               "--what", "log"]
+        assert run(capsys, *log, "--x", "0.5")[0] == 0
+        assert run(capsys, *log)[0] == 2
+        assert run(capsys, *log[:-4], "--what", "log", "--x", "0.5")[0] == 2
+
+    def test_defaults_after_an_override(self, capsys):
+        make_parser.cache_clear()
+        first = run(capsys, "table2")
+        assert run(capsys, "table2", "--q", "0.5", "--x", "0.3")[1] != first[1]
+        assert run(capsys, "table2") == first
 
 
 class TestVerify:
@@ -289,6 +348,98 @@ class TestFigures:
         assert abs(float(hit[0].split(",")[2]) - 4.5) < 1e-10
         # out-of-range c > 1 points are reported as nan, not dropped
         assert any(l.endswith(",nan") for l in lines[1:])
+
+
+FIG2_P = ProbVec(np.array([1.0 / 3.0, 2.0 / 3.0]))
+GRID_CELLS = (pathlib.Path(__file__).parents[1] / "benchmarks" / "data"
+              / "grid_cells.json.gz")
+
+
+def _fig2_cells():
+    return [(0.2 + 0.02 * i, -1.0 + 0.05 * j)
+            for i in range(61) for j in range(61)]
+
+
+def _grid_map_cells(stride):
+    """Every stride-th cell centre of the benchmark's 240 x 600 map."""
+    with gzip.open(GRID_CELLS, "rt", encoding="utf-8") as fh:
+        m = json.load(fh)
+    (c_lo, c_hi), (d_lo, d_hi) = m["c_range"], m["d_range"]
+    cells = []
+    for k in range(0, m["nc"] * m["nd"], stride):
+        i, j = divmod(k, m["nd"])
+        cells.append((c_lo + (i + 0.5) * (c_hi - c_lo) / m["nc"],
+                      d_lo + (j + 0.5) * (d_hi - d_lo) / m["nd"]))
+    return cells
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+class TestFig2Lattice:
+    """fig2's metrics from one cd_lattice call against cd_family,
+    metric_naudts and metric_amari cell by cell: the same status reason and
+    the same bits."""
+
+    def _check(self, cells):
+        c, d = np.array(cells).T
+        status, g_n, g_a = cli.fig2_metrics(c, d, FIG2_P)
+        for i, (ci, di) in enumerate(cells):
+            try:
+                fam = cd_family(ci, di)
+            except DomainError as exc:
+                assert status[i] != 0 and CD_STATUS[status[i]] in str(exc), \
+                    (ci, di, CD_STATUS[status[i]], str(exc))
+                assert math.isnan(g_n[i]) and math.isnan(g_a[i])
+                continue
+            assert status[i] == 0, (ci, di, CD_STATUS[status[i]])
+            want_n = geo.metric_naudts(fam, FIG2_P).entries[0, 0]
+            want_a = geo.metric_amari(fam, FIG2_P).entries[0, 0]
+            if not (math.isfinite(want_n) and math.isfinite(want_a)):
+                want_n = want_a = math.nan
+            assert _bits(g_n[i]) == _bits(want_n), (ci, di)
+            assert _bits(g_a[i]) == _bits(want_a), (ci, di)
+        return np.bincount(status, minlength=len(CD_STATUS))
+
+    def test_fig2_cells(self):
+        counts = self._check(_fig2_cells())
+        assert {CD_STATUS[k]: int(n) for k, n in enumerate(counts) if n} == {
+            "builds": 2480, "not above 1": 743, "d < 0 requires c < 1": 420,
+            "negative scale": 77, "1-c+cd = 0": 1}
+
+    def test_grid_map_cells(self):
+        counts = self._check(_grid_map_cells(97))
+        assert counts[0] == 990 and counts.sum() == 1485
+
+    def test_fig2_builds_no_deformation(self, tmp_path, monkeypatch):
+        built = []
+        init = Deformation.__init__
+
+        def counted(self, name, *args, **kwargs):
+            built.append(name)
+            init(self, name, *args, **kwargs)
+
+        monkeypatch.setattr(Deformation, "__init__", counted)
+        assert main(["figure", "--which", "fig2", "--out", str(tmp_path)]) == 0
+        assert built == []
+        cd_family(0.7, 0.4)
+        assert len(built) == 1  # the count sees a construction
+
+    def test_fresh_process_writes_the_same_csvs(self, tmp_path):
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "phigeo.cli", "figure", "--which", "fig2",
+             "--out", str(tmp_path / "fresh")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        assert main(["figure", "--which", "fig2",
+                     "--out", str(tmp_path / "here")]) == 0
+        for name in ("fig2_naudts.csv", "fig2_amari.csv"):
+            assert ((tmp_path / "fresh" / name).read_bytes()
+                    == (tmp_path / "here" / name).read_bytes())
 
 
 class TestTable2:

@@ -21,6 +21,13 @@ class TestProbVec:
         with pytest.raises(ValueError):
             ProbVec(np.array([1.2, -0.2]))
 
+    @pytest.mark.parametrize("probs", [[math.nan, 1.0], [0.5, 0.5, math.nan],
+                                       [math.inf, 1.0]])
+    def test_non_finite_entry_rejected(self, probs):
+        # every comparison with NaN is false, so a NaN entry once passed
+        with pytest.raises(DomainError, match="non-finite"):
+            ProbVec(np.array(probs))
+
     def test_interior_flag(self):
         assert ProbVec(np.array([0.4, 0.6])).interior
         assert not ProbVec(np.array([1.0, 0.0])).interior

@@ -4,10 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from phigeo.deform import Deformation, chi_dual, exp_of_log
+from phigeo.deform import Deformation, chi_dual, exp_of_log, validation_grid
 from phigeo.errors import DomainError, PhigeoError
-from phigeo.families import (CdParams, auto_r, cd_exp_closed, cd_family,
-                             cd_params, identity, stretched, tsallis)
+from phigeo.families import (CD_STATUS, CdParams, auto_r, cd_exp_closed,
+                             cd_family, cd_lattice, cd_params, identity,
+                             stretched, tsallis)
 from phigeo.specfun import integrate
 from phigeo.verify import _families
 
@@ -192,6 +193,22 @@ class TestCdFamily:
         with pytest.raises(DomainError, match="x_upper"):
             cd_family(c, d)
 
+    @pytest.mark.parametrize("c,d", [(0.999, -0.1), (0.999, -0.5)])
+    def test_domain_sup_beyond_floats_is_unbounded(self, c, d):
+        # exp((1 - u_min)/a) overflows for 1 - c below ~1/709 and d < 0: no
+        # float reaches the domain sup (once a bare OverflowError)
+        dd = cd_family(c, d)
+        assert dd.x_upper == math.inf
+        for x in validation_grid(dd.x_upper):
+            x = float(x)
+            assert abs(dd.exp(dd.log(x)) - x) < 1e-12 * x
+
+    def test_domain_sup_overflow_cell_raises_domain_error(self):
+        # with r ~ 9e4 the central difference of the log misses 1/phi by
+        # more than its tolerance; once a bare OverflowError
+        with pytest.raises(DomainError, match="1/phi"):
+            cd_family(0.9998809914474456, -2.3639757098719074)
+
     def test_cutoff_below_lower_limit(self):
         dd = cd_family(0.7, 0.4)
         # log saturates at r as x -> 0, so exp returns 0 below that
@@ -199,6 +216,52 @@ class TestCdFamily:
         assert dd.log_lower_limit == pytest.approx(-math.inf, abs=0) or \
             dd.log_lower_limit < 0
         assert dd.exp(dd.log_lower_limit - 1.0) == 0.0
+
+
+# One cell per branch and per reachable status code; (1, 0.5) and
+# (0.5, 0) are fig2's c = 1 and d = 0 cells, the last four have x_upper = inf.
+LATTICE_CELLS = [
+    (1.0, 1.0), (1.0, 0.5), (1.0, 2.0), (0.5, 0.0), (0.3, 0.0), (0.7, 0.4),
+    (0.8, -0.5), (0.2, -1.0), (-1.2266141427970636, -1.882519231095292),
+    (1.0, -0.5), (1.4, 0.0), (1.0, 0.0), (1.25, 0.2), (1.5, 1.0),
+    (0.0, 0.5), (0.2025, 0.0025), (-0.5, 0.5), (1.0025, 1.8675),
+    (0.9993934153875618, -2.712026657316487), (0.999, -0.1), (0.999, -0.5),
+    (0.9998809914474456, -2.3639757098719074), (0.8, -3.0)]
+
+
+class TestCdLattice:
+    """cd_lattice against cd_family, cell by cell."""
+
+    def test_status_and_values_match_cd_family(self):
+        c, d = np.array(LATTICE_CELLS).T
+        x = np.array([1e-3, 1.0 / 3.0, 2.0 / 3.0, 0.9])
+        status, phi, phi_prime = cd_lattice(c, d, x)
+        codes = set()
+        for i, (ci, di) in enumerate(LATTICE_CELLS):
+            try:
+                dd = cd_family(ci, di)
+            except DomainError as exc:
+                assert status[i] != 0 and CD_STATUS[status[i]] in str(exc), \
+                    (ci, di, CD_STATUS[status[i]], str(exc))
+                assert np.isnan(phi[i]).all() and np.isnan(phi_prime[i]).all()
+                codes.add(int(status[i]))
+                continue
+            assert status[i] == 0, (ci, di, CD_STATUS[status[i]])
+            assert phi[i].tobytes() == dd.phi(x).tobytes(), (ci, di)
+            assert phi_prime[i].tobytes() == dd.phi_prime(x).tobytes(), (ci, di)
+        assert codes == {1, 2, 3, 5, 6, 9, 10, 13}
+
+    def test_status_phrases_name_one_error_each(self):
+        for phrase in CD_STATUS[1:]:
+            assert [p for p in CD_STATUS if phrase in p] == [phrase]
+
+    def test_chunks_do_not_change_the_result(self):
+        rng = np.random.default_rng(5)
+        c, d = rng.uniform(0.1, 1.5, 2500), rng.uniform(-1.0, 2.0, 2500)
+        whole = cd_lattice(c, d, [0.25])
+        for got, part in zip(whole, cd_lattice(c[1100:1300], d[1100:1300],
+                                               [0.25])):
+            assert got[1100:1300].tobytes() == part.tobytes()
 
 
 class TestCdExpClosed:

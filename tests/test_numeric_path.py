@@ -737,7 +737,7 @@ def test_every_raise_names_a_phigeo_error():
     """Every raise in the package names a PhigeoError subclass, except the
     allow-list: _gk15's OverflowError (the integrand overflowed, which the
     numeric log treats as a failed step), the AttributeError of
-    _ProbedLimits.__getattr__ (the attribute protocol), and the cli's three
+    _ProbedLimits.__getattr__ (the attribute protocol), and the cli's two
     usage errors (main reports a ValueError as exit 2)."""
     def raised(exc):
         exc = exc.func if isinstance(exc, ast.Call) else exc
@@ -765,5 +765,5 @@ def test_every_raise_names_a_phigeo_error():
                     untyped.append(f"{path.name}:{func}:{name}")
     assert sorted(untyped) == [
         "cli.py:_eval_input:ValueError", "cli.py:build_family:ValueError",
-        "cli.py:cmd_figure:ValueError", "deform.py:__getattr__:AttributeError",
+        "deform.py:__getattr__:AttributeError",
         "specfun.py:_gk15:OverflowError"]
