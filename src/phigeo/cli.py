@@ -1,5 +1,6 @@
 """Command line front end: evaluate library quantities, run verification
-suites, fit moment-constrained families, and emit figure/table data.
+suites, fit moment-constrained families, and emit figure/table data (each
+figure from one cd_lattice call, through geometry's array metric forms).
 
 Exit codes: 0 success, 1 verification failure, 2 usage/domain error,
 3 infeasible target, 4 non-convergence.
@@ -149,12 +150,6 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _fig1_families():
-    return [("c1.0_d1.0", cd_family(1.0, 1.0)),
-            ("c1.0_d0.5", cd_family(1.0, 0.5)),
-            ("c0.5_d0.0", cd_family(0.5, 0.0))]
-
-
 def _write_csv(path, header, rows):
     """One line per row, every value printed as %.17g."""
     line = ",".join(["%.17g"] * len(header)) + "\n"
@@ -163,59 +158,47 @@ def _write_csv(path, header, rows):
         fh.writelines(line % tuple(row) for row in rows)
 
 
-def _fig1(out):
-    fams = _fig1_families()
-    ps = [0.01 + 0.0025 * i for i in range(393)]
-    rows_n, rows_a, rows_cr = [], [], []
-    for pv in ps:
-        prob = ProbVec(np.array([pv, 1.0 - pv]))
-        rn, ra, rc = [pv], [pv], [pv]
-        for _, d in fams:
-            gN = geo.metric_naudts(d, prob).entries[0, 0]
-            gA = geo.metric_amari(d, prob).entries[0, 0]
-            info = h_phi(d, prob) * gN
-            rn.append(gN)
-            ra.append(gA)
-            rc.extend([info, 1.0 / info])
-        rows_n.append(rn)
-        rows_a.append(ra)
-        rows_cr.append(rc)
-    labels = [lab for lab, _ in fams]
-    _write_csv(os.path.join(out, "fig1_naudts.csv"),
-               ["p"] + [f"value_{l}" for l in labels], rows_n)
-    _write_csv(os.path.join(out, "fig1_amari.csv"),
-               ["p"] + [f"value_{l}" for l in labels], rows_a)
-    crh = ["p"]
-    for l in labels:
-        crh.extend([f"info_{l}", f"bound_{l}"])
-    _write_csv(os.path.join(out, "fig1_crbound.csv"), crh, rows_cr)
-
-
-def fig2_metrics(c, d, p):
-    """(status, g^N, g^A) over flat arrays of (c, d) cells, from one
-    cd_lattice call: cd_lattice's status, and the metrics of cd_family(c, d)
-    at the two-point p as metric_naudts and metric_amari give them, NaN
-    where the family does not build or either value is not finite."""
-    status, phis, dphis = cd_lattice(c, d, p.probs)
+def figure_metrics(c, d, p):
+    """From one cd_lattice call over flat arrays of (c, d) cells: its status,
+    and g^N, g^A (bit for bit metric_naudts and metric_amari; NaN where the
+    family does not build or either is not finite) and h_phi of
+    cd_family(c[i], d[i]) at each two-point row of p, shape (cells, rows)."""
+    p = np.asarray(p, dtype=float)
+    status, phis, dphis = cd_lattice(c, d, p.ravel())
+    phis, dphis = (a.reshape(-1, *p.shape) for a in (phis, dphis))
     with np.errstate(all="ignore"):
-        inv = 1.0 / phis
-        ratio = dphis / phis
-        g_n = inv[:, 1] + inv[:, 0]
-        g_a = (ratio[:, 1] + ratio[:, 0]) / (phis[:, 0] + phis[:, 1])
+        g_n = geo.naudts_entries(phis)[..., 0, 0]
+        g_a = geo.amari_entries(phis, dphis)[..., 0, 0]
     bad = ~(np.isfinite(g_n) & np.isfinite(g_a))
     g_n[bad] = g_a[bad] = np.nan
-    return status, g_n, g_a
+    return status, g_n, g_a, phis.sum(axis=-1)
+
+
+def _fig1(out):
+    """g^N, g^A and the Cramer-Rao information h_phi g^N with its bound
+    against p for three (c, d) families of a two-state system."""
+    c, d = np.array([(1.0, 1.0), (1.0, 0.5), (0.5, 0.0)]).T
+    cells = [f"c{ci}_d{di}" for ci, di in zip(c.tolist(), d.tolist())]
+    ps = 0.01 + 0.0025 * np.arange(393)
+    _, g_n, g_a, h = figure_metrics(c, d, np.stack([ps, 1.0 - ps], axis=1))
+    info = h * g_n
+    cr = np.stack([info, 1.0 / info], axis=1).reshape(-1, ps.size)
+    for name, cols, g in (("fig1_naudts.csv", ["value"], g_n),
+                          ("fig1_amari.csv", ["value"], g_a),
+                          ("fig1_crbound.csv", ["info", "bound"], cr)):
+        _write_csv(os.path.join(out, name),
+                   ["p"] + [f"{k}_{l}" for l in cells for k in cols],
+                   np.column_stack([ps, *g]).tolist())
 
 
 def _fig2(out):
-    cs = [0.2 + 0.02 * i for i in range(61)]
-    ds = [-1.0 + 0.05 * i for i in range(61)]
-    points = [(c, dd) for c in cs for dd in ds]
-    c, d = np.array(points).T
-    _, g_n, g_a = fig2_metrics(c, d, ProbVec(np.array([1.0 / 3.0, 2.0 / 3.0])))
+    """g^N and g^A over a 61 x 61 (c, d) grid at p = (1/3, 2/3)."""
+    c = np.repeat(0.2 + 0.02 * np.arange(61), 61)
+    d = np.tile(-1.0 + 0.05 * np.arange(61), 61)
+    _, g_n, g_a, _ = figure_metrics(c, d, [[1.0 / 3.0, 2.0 / 3.0]])
     for name, g in (("fig2_naudts.csv", g_n), ("fig2_amari.csv", g_a)):
         _write_csv(os.path.join(out, name), ["c", "d", "value"],
-                   [[*point, v] for point, v in zip(points, g.tolist())])
+                   np.column_stack([c, d, g]).tolist())
 
 
 # --which: the function that writes each figure's CSVs into --out.
@@ -229,77 +212,61 @@ def cmd_figure(args) -> int:
 
 
 def cmd_table2(args) -> int:
-    q, eta = args.q, args.eta
-    x = args.x
+    q, eta, x = args.q, args.eta, args.x
     p = _parse_probvec(args.p)
-    dq = tsallis(q)
-    de = stretched(eta)
-
-    def s_abslog(y):
-        return math.copysign(abs(math.log(y)) ** (1.0 / eta), math.log(y))
-
+    dq, de = tsallis(q), stretched(eta)
     lx = math.log(x)
-    rows = []
-    rows.append({
+    yq = (x ** (1.0 - q) - 1.0) / (1.0 - q)
+    ye = math.copysign(abs(lx) ** (1.0 / eta), lx)  # signed-power log
+    chie_den = (eta - 1.0) + eta * lx
+    rows = [{
         "row": "phi",
         "tsallis": {"printed": x ** q, "library": dq.phi(x)},
         "stretched": {"printed": x * eta * abs(lx) ** (1.0 - 1.0 / eta),
                       "library": de.phi(x),
                       "note": "printed log(x)^{1-1/eta} read as |log x| for x<1"},
-    })
-    rows.append({
+    }, {
         "row": "log",
-        "tsallis": {"printed": (x ** (1.0 - q) - 1.0) / (1.0 - q),
-                    "library": dq.log(x)},
-        "stretched": {"printed": s_abslog(x), "library": de.log(x),
+        "tsallis": {"printed": yq, "library": dq.log(x)},
+        "stretched": {"printed": ye, "library": de.log(x),
                       "note": "signed-power reading below x=1"},
-    })
-    yq = (x ** (1.0 - q) - 1.0) / (1.0 - q)
-    ye = s_abslog(x)
-    rows.append({
+    }, {
         "row": "exp",
         "tsallis": {"printed": (1.0 + (1.0 - q) * yq) ** (1.0 / (1.0 - q)),
                     "library": dq.exp(dq.log(x))},
         "stretched": {"printed": math.exp(math.copysign(abs(ye) ** eta, ye)),
                       "library": de.exp(de.log(x)),
                       "note": "printed exp(x^eta) extended by sign below 0"},
-    })
-    chie_den = (eta - 1.0) + eta * lx
-    rows.append({
+    }, {
         "row": "chi",
         "tsallis": {"printed": x / q, "library": dq.phi(x) / dq.phi_prime(x)},
         "stretched": {"printed": (x * eta * lx / chie_den
                                   if chie_den != 0.0 else math.nan),
                       "library": de.phi(x) / de.phi_prime(x)},
-    })
-    if q == 2.0:
-        sn_ts = sn_ts_lib = math.nan
-        sn_note = "integral entropy diverges at q = 2"
-    else:
-        sn_ts = (sum(pj ** (2.0 - q) for pj in p.probs) / (2.0 - q) - 1.0) / (q - 1.0)
-        sn_ts_lib = geo.entropy_naudts(dq, p)
-        sn_note = None
-    sn_st = sum(upper_gamma(1.0 + 1.0 / eta, -math.log(pj)) for pj in p.probs)
-    ts_cell = {"printed": sn_ts, "library": sn_ts_lib}
-    if sn_note:
-        ts_cell["note"] = sn_note
-    rows.append({
+    }, {
         "row": "entropy_n",
-        "tsallis": ts_cell,
-        "stretched": {"printed": sn_st, "library": geo.entropy_naudts(de, p)},
-    })
-    h = sum(pj ** q for pj in p.probs)
-    sa_ts = (1.0 / h - 1.0) / (1.0 - q)
-    num = sum(pj * abs(math.log(pj)) for pj in p.probs)
-    den = sum(pj * abs(math.log(pj)) ** (1.0 - 1.0 / eta) for pj in p.probs)
-    rows.append({
+        "tsallis": ({"printed": math.nan, "library": math.nan,
+                     "note": "integral entropy diverges at q = 2"}
+                    if q == 2.0 else
+                    {"printed": (sum(pj ** (2.0 - q) for pj in p.probs)
+                                 / (2.0 - q) - 1.0) / (q - 1.0),
+                     "library": geo.entropy_naudts(dq, p)}),
+        "stretched": {"printed": sum(upper_gamma(1.0 + 1.0 / eta, -math.log(pj))
+                                     for pj in p.probs),
+                      "library": geo.entropy_naudts(de, p)},
+    }, {
         "row": "entropy_a",
-        "tsallis": {"printed": sa_ts, "library": geo.entropy_amari(dq, p),
+        "tsallis": {"printed": (1.0 / sum(pj ** q for pj in p.probs) - 1.0)
+                               / (1.0 - q),
+                    "library": geo.entropy_amari(dq, p),
                     "note": "printed value has the opposite sign of the "
                             "general escort-average definition"},
-        "stretched": {"printed": num / den, "library": geo.entropy_amari(de, p),
+        "stretched": {"printed": sum(pj * abs(math.log(pj)) for pj in p.probs)
+                                 / sum(pj * abs(math.log(pj)) ** (1.0 - 1.0 / eta)
+                                       for pj in p.probs),
+                      "library": geo.entropy_amari(de, p),
                       "note": "printed ratio read with |log p|"},
-    })
+    }]
     print(json.dumps(rows))
     return EXIT_OK
 
@@ -315,12 +282,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     def add_family_flags(sp):
         sp.add_argument("--family", required=True, choices=list(FAMILIES))
-        sp.add_argument("--q", type=float)
-        sp.add_argument("--eta", type=float)
-        sp.add_argument("--c", type=float)
-        sp.add_argument("--d", type=float)
-        sp.add_argument("--r", type=float)
-        sp.add_argument("--nu", type=float)
+        for flag in ("q", "eta", "c", "d", "r", "nu"):
+            sp.add_argument(f"--{flag}", type=float)
 
     sp = sub.add_parser("eval", help="evaluate a single quantity")
     add_family_flags(sp)

@@ -16,14 +16,23 @@ from .errors import (BoundaryError, ConvergenceError, DomainError, PoleError,
 from .specfun import GRAD_STEP, integrate
 
 
+def _exp(y):
+    """math.exp, raising RangeError where the value overflows a float."""
+    try:
+        return math.exp(y)
+    except OverflowError:
+        raise RangeError(f"exp({y}) overflows a float") from None
+
+
 class ScalarOps:
     """Closed forms are written once, as f(x, m=ScalarOps): ``m`` supplies
-    the elementary functions, these ``math`` ones (fast on a float) by
-    default and numpy itself when a vectorized Deformation evaluates f on an
-    ndarray.  Used as the class itself: its attributes are found faster
-    than an instance's on this per-call path."""
+    the elementary functions, these ``math`` ones (fast on a float; exp
+    raises RangeError on overflow) by default and numpy itself when a
+    vectorized Deformation evaluates f on an ndarray.  Used as the class
+    itself: its attributes are found faster than an instance's on this
+    per-call path."""
     log = math.log
-    exp = math.exp
+    exp = _exp
     copysign = math.copysign
     maximum = max
     any = bool
@@ -331,7 +340,12 @@ class Deformation:
             return self.log_closed(x)
         a = self._anchors
         i = a.anchor(x)
-        return a.vs[i] + integrate(a.inv_phi, a.xs[i], x)
+        try:
+            return a.vs[i] + integrate(a.inv_phi, a.xs[i], x)
+        except (ZeroDivisionError, OverflowError):  # e.g. below the table
+            raise DomainError(
+                f"{self.name}: log_phi({x}) out of range: 1/phi is not "
+                f"finite between {a.xs[i]} and {x}") from None
 
     def _log_array(self, x):
         x = np.asarray(x, dtype=float)

@@ -139,6 +139,14 @@ class CdParams:
     branch: str  # generic | d_zero | c_one | shannon
 
 
+def _exp_or_inf(t: float) -> float:
+    """math.exp(t), or inf where no float reaches it."""
+    try:
+        return math.exp(t)
+    except OverflowError:
+        return math.inf
+
+
 def auto_r(c: float, d: float) -> float:
     """Default scale parameter: 1/(1-c+cd) for d >= 0, exp(-d)/(1-c) for d < 0."""
     if d >= 0.0:
@@ -150,7 +158,10 @@ def auto_r(c: float, d: float) -> float:
         return 1.0 / denom
     if c >= 1.0:
         raise DomainError(f"auto_r: d < 0 requires c < 1 (got c={c})")
-    return math.exp(-d) / (1.0 - c)
+    r = _exp_or_inf(-d) / (1.0 - c)
+    if r == math.inf:
+        raise DomainError(f"auto_r: exp(-d)/(1-c) overflows (c={c}, d={d})")
+    return r
 
 
 def cd_params(c: float, d: float, r: float | None = None) -> CdParams:
@@ -327,7 +338,7 @@ def cd_family(c: float, d: float, r: float | None = None) -> Deformation:
             phi=phi_cd, phi_prime=phi_cd_prime,
             log_closed=log_cd, exp_closed=exp_cd,
             log_lower_limit=-math.inf, log_upper_limit=r,
-            x_upper=math.exp(dr), vectorized=True,
+            x_upper=_exp_or_inf(dr), vectorized=True,
         )
 
     # generic branch
@@ -341,16 +352,8 @@ def cd_family(c: float, d: float, r: float | None = None) -> Deformation:
 
     # Domain sup: the log stops being monotone where (1-c)u + a*d hits 0,
     # and stops being defined where u hits 0.
-    u_min = 0.0
-    if (1.0 - c) != 0.0:
-        u_crit = -a * d / (1.0 - c)
-        u_min = max(u_min, u_crit)
-    x_upper = math.inf
-    if a > 0.0:
-        try:
-            x_upper = math.exp((1.0 - u_min) / a)
-        except OverflowError:
-            pass  # no float reaches the bound
+    u_min = max(0.0, -a * d / (1.0 - c))  # c != 1 on this branch
+    x_upper = _exp_or_inf((1.0 - u_min) / a) if a > 0.0 else math.inf
     if not x_upper > 1.0:
         raise DomainError(
             f"cd_family: domain sup x_upper={x_upper:.3g} not above 1 for "
@@ -408,6 +411,7 @@ CD_STATUS = (
     "1-c+cd = 0",                         # auto_r
     "negative scale",                     # auto_r
     "d < 0 requires c < 1",               # auto_r
+    "exp(-d)/(1-c) overflows",            # auto_r
     "r must be positive",                 # cd_params
     "1-(1-c)r = 0",                       # cd_params
     "beta*exp(beta) overflows",           # cd_params
@@ -440,7 +444,7 @@ def _deformation_codes(x_upper, log, phi):
     bad_slope = spot & (np.abs(slope - ref) > 1e-6 * np.maximum(np.abs(ref), 1.0))
     return np.select(
         [bad_phi.any(axis=1), np.abs(log(1.0)[:, 0]) > 1e-10,
-         bad_slope.any(axis=1)], [11, 12, 13], 0)
+         bad_slope.any(axis=1)], [12, 13, 14], 0)
 
 
 def _lattice_status(c, d):
@@ -460,22 +464,23 @@ def _lattice_status(c, d):
     reject(2, up & (denom < 0.0))
     reject(3, ~up & (c >= 1.0))
     r = np.where(up, 1.0 / denom, np.exp(-d) / (1.0 - c))
-    reject(4, ~(r > 0.0))
+    reject(4, ~up & (r == np.inf))
+    reject(5, ~(r > 0.0))
     c_one = c == 1.0
     d_zero = (d == 0.0) & ~c_one
     c_one &= d != 1.0  # (1, 1) is the Shannon cell, which always builds
     generic = ~(c_one | d_zero | ((c == 1.0) & (d == 1.0)))
     k = 1.0 - (1.0 - c) * r
-    reject(5, generic & (k == 0.0))
+    reject(6, generic & (k == 0.0))
     beta = (1.0 - c) * r / k
-    reject(6, generic & np.isfinite(beta) & np.isinf(np.exp(beta)))
+    reject(7, generic & np.isfinite(beta) & np.isinf(np.exp(beta)))
 
     # the branch checks of cd_family, and the domain sup x_upper
     x_upper = np.full(c.size, np.inf)
     i = alive(d_zero)
-    status[i[_d_zero_forms(c[i], r[i])[0] <= 0.0]] = 7
+    status[i[_d_zero_forms(c[i], r[i])[0] <= 0.0]] = 8
     i = alive(c_one)
-    status[i[d[i] < 0.0]] = 8
+    status[i[d[i] < 0.0]] = 9
     x_upper[i] = np.exp(_c_one_forms(d[i], r[i])[0])
     i = alive(generic)
     a, bracket, *_ = _generic_forms(c[i], d[i], r[i])
@@ -483,7 +488,7 @@ def _lattice_status(c, d):
     u_min = np.where(u_crit > 0.0, u_crit, 0.0)
     x_upper[i] = np.where(a > 0.0, np.exp((1.0 - u_min) / a), np.inf)
     status[i] = np.select([(bracket(1e-9) <= 0.0) | (bracket(1.0) <= 0.0),
-                           ~(x_upper[i] > 1.0)], [9, 10], 0)
+                           ~(x_upper[i] > 1.0)], [10, 11], 0)
 
     # Deformation's validation of the cells still standing, as columns
     i = alive(d_zero)

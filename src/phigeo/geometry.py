@@ -1,6 +1,10 @@
 """Entropies, divergences, and Fisher metrics of the two dual kinds
 (linear-constraint / Naudts and escort-constraint / Amari), together with
-the operators connecting them and the (c,d) closed forms."""
+the operators connecting them and the (c,d) closed forms.
+
+In the simplex-interior chart (p_0 dependent) every metric here is
+simplex_chart(v) = diag(v_i)_{i>=1} + v_0; naudts_entries and amari_entries
+state g^N and g^A once, over any batch axes before the axis of p."""
 
 from __future__ import annotations
 
@@ -133,21 +137,38 @@ def divergence_amari(d: Deformation, p: ProbVec, q: ProbVec) -> float:
 # ---------------------------------------------------------------------------
 # Metrics
 
+def simplex_chart(v: np.ndarray) -> np.ndarray:
+    """diag(v_1, ..., v_{n-1}) + v_0 over the last axis of v."""
+    head, tail = v[..., :1], v[..., 1:]
+    k = tail.shape[-1]
+    m = head.repeat(k * k, axis=-1)
+    np.add(tail, head, m[..., ::k + 1])  # the diagonal of the flat matrix
+    return m.reshape(tail.shape + (k,))
+
+
+def naudts_entries(phis: np.ndarray) -> np.ndarray:
+    """g^N = diag(1/phi(p_i))_{i>=1} + 1/phi(p_0), from phi(p)."""
+    return simplex_chart(1.0 / phis)
+
+
+def amari_entries(phis: np.ndarray, dphis: np.ndarray) -> np.ndarray:
+    """g^A = (diag(phi'/phi (p_i))_{i>=1} + phi'/phi (p_0)) / h_phi."""
+    m = simplex_chart(dphis / phis)
+    m /= np.add.reduce(phis, -1, keepdims=True)[..., None]  # h_phi, in place
+    return m
+
+
 def metric_naudts(d: Deformation, p: ProbVec) -> MetricMatrix:
-    """g^N = diag(1/phi(p_i)) + 1/phi(p_0), simplex-interior chart."""
+    """g^N of d at p (naudts_entries), simplex-interior chart."""
     require_interior(p, "metric_naudts")
-    inv = 1.0 / d.phi(p.probs)
-    m = np.diag(inv[1:]) + inv[0]
-    return MetricMatrix(m, "simplex_interior")
+    return MetricMatrix(naudts_entries(d.phi(p.probs)), "simplex_interior")
 
 
 def metric_amari(d: Deformation, p: ProbVec) -> MetricMatrix:
-    """g^A = (1/h_phi) (diag(phi'/phi (p_i)) + phi'/phi (p_0))."""
+    """g^A of d at p (amari_entries), simplex-interior chart."""
     require_interior(p, "metric_amari")
-    phis = d.phi(p.probs)
-    ratio = d.phi_prime(p.probs) / phis
-    m = (np.diag(ratio[1:]) + ratio[0]) / float(phis.sum())
-    return MetricMatrix(m, "simplex_interior")
+    return MetricMatrix(amari_entries(d.phi(p.probs), d.phi_prime(p.probs)),
+                        "simplex_interior")
 
 
 def metric_fd_oracle(div, p: ProbVec) -> MetricMatrix:
@@ -175,8 +196,7 @@ def t_operator(d: Deformation, p: ProbVec) -> MetricMatrix:
     n_g = 1.0 / float(phis.sum())
     # -(log(1/phi))' = phi'/phi
     vals = n_g * d.phi_prime(p.probs) / phis
-    m = np.diag(vals[1:]) + vals[0]
-    return MetricMatrix(m, "simplex_interior")
+    return MetricMatrix(simplex_chart(vals), "simplex_interior")
 
 
 def ts_metric_transform(d_ht: Deformation, nu: float, p: ProbVec) -> MetricMatrix:
@@ -195,8 +215,7 @@ def ts_metric_transform(d_ht: Deformation, nu: float, p: ProbVec) -> MetricMatri
         return 1.0 / ((1.0 + nu * acc) ** 2 * d_ht.phi(x))
 
     vals = np.array([val(pj) for pj in p.probs])
-    m = np.diag(vals[1:]) + vals[0]
-    return MetricMatrix(m, "simplex_interior")
+    return MetricMatrix(simplex_chart(vals), "simplex_interior")
 
 
 def conformal_check(chi: Deformation, p: ProbVec,
@@ -274,9 +293,7 @@ def cd_metrics_closed(params: CdParams, p: ProbVec):
         raise BranchError(
             f"cd_metrics_closed: no closed form on branch {params.branch}")
     require_interior(p, "cd_metrics_closed")
-    nvals, avals = _cd_printed_terms(params, p.probs)
-    gN = np.diag(nvals[1:]) + nvals[0]
-    gA = np.diag(avals[1:]) + avals[0]
+    gN, gA = map(simplex_chart, _cd_printed_terms(params, p.probs))
 
     dfam = cd_family(params.c, params.d, params.r)
     h = h_phi(dfam, p)

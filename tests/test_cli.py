@@ -16,7 +16,8 @@ from phigeo import geometry as geo
 from phigeo.cli import main, make_parser
 from phigeo.deform import Deformation, ProbVec, h_phi, ts_dual
 from phigeo.errors import DomainError
-from phigeo.families import CD_STATUS, cd_family, identity, stretched, tsallis
+from phigeo.families import (CD_STATUS, cd_family, cd_lattice, identity,
+                             stretched, tsallis)
 from phigeo.verify import SUITES, run_suite
 
 
@@ -79,6 +80,33 @@ class TestEval:
         code, out = run(capsys, "eval", "--family", "tsallis", "--q", "0.5",
                         "--what", "h", "--p", "nan,1")
         assert (code, out) == (2, "")
+
+    # each once a bare OverflowError traceback with exit 1
+    def test_exp_overflow_is_range_error(self, capsys):
+        code = main(["eval", "--family", "shannon", "--what", "exp",
+                     "--x", "1000"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert "overflows" in err
+
+    def test_c_one_with_unbounded_domain_sup(self, capsys):
+        # exp(dr) = exp(1000) is no float: x_upper is inf
+        code, out = run(capsys, "eval", "--family", "cd", "--c", "1",
+                        "--d", "0.5", "--r", "2000", "--what", "log",
+                        "--x", "0.5")
+        assert code == 0
+        # r - r sqrt(1 + ln 2/dr), written without the cancellation
+        want = -2.0 * math.log(2.0) / (math.sqrt(1.0 + math.log(2.0) / 1e3)
+                                       + 1.0)
+        assert abs(json.loads(out)["value"] - want) < 1e-11 * abs(want)
+        assert cd_family(1.0, 0.5, 2000.0).x_upper == math.inf
+
+    def test_auto_r_overflow_is_domain_error(self, capsys):
+        code = main(["eval", "--family", "cd", "--c", "0.5", "--d", "-800",
+                     "--what", "log", "--x", "0.5"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert "auto_r" in err and "overflows" in err
 
     def test_unknown_subcommand(self, capsys):
         code = main(["frobnicate"])
@@ -351,6 +379,10 @@ class TestFigures:
 
 
 FIG2_P = ProbVec(np.array([1.0 / 3.0, 2.0 / 3.0]))
+FIGURE_CSVS = {
+    "fig1": ("fig1_naudts.csv", "fig1_amari.csv", "fig1_crbound.csv"),
+    "fig2": ("fig2_naudts.csv", "fig2_amari.csv"),
+}
 GRID_CELLS = (pathlib.Path(__file__).parents[1] / "benchmarks" / "data"
               / "grid_cells.json.gz")
 
@@ -378,13 +410,14 @@ def _bits(v):
 
 
 class TestFig2Lattice:
-    """fig2's metrics from one cd_lattice call against cd_family,
+    """fig2's metrics from one figure_metrics call against cd_family,
     metric_naudts and metric_amari cell by cell: the same status reason and
     the same bits."""
 
     def _check(self, cells):
         c, d = np.array(cells).T
-        status, g_n, g_a = cli.fig2_metrics(c, d, FIG2_P)
+        status, g_n, g_a, _ = cli.figure_metrics(c, d, [FIG2_P.probs])
+        g_n, g_a = g_n[:, 0], g_a[:, 0]
         for i, (ci, di) in enumerate(cells):
             try:
                 fam = cd_family(ci, di)
@@ -412,34 +445,72 @@ class TestFig2Lattice:
         counts = self._check(_grid_map_cells(97))
         assert counts[0] == 990 and counts.sum() == 1485
 
-    def test_fig2_builds_no_deformation(self, tmp_path, monkeypatch):
-        built = []
+    @pytest.mark.parametrize("which", sorted(FIGURE_CSVS))
+    def test_figure_builds_no_deformation(self, which, tmp_path, monkeypatch):
+        built, lattice_calls = [], []
         init = Deformation.__init__
 
         def counted(self, name, *args, **kwargs):
             built.append(name)
             init(self, name, *args, **kwargs)
 
+        def lattice(*args):
+            lattice_calls.append(args)
+            return cd_lattice(*args)
+
         monkeypatch.setattr(Deformation, "__init__", counted)
-        assert main(["figure", "--which", "fig2", "--out", str(tmp_path)]) == 0
+        monkeypatch.setattr(cli, "cd_lattice", lattice)
+        assert main(["figure", "--which", which, "--out", str(tmp_path)]) == 0
         assert built == []
+        assert len(lattice_calls) == 1
         cd_family(0.7, 0.4)
         assert len(built) == 1  # the count sees a construction
 
-    def test_fresh_process_writes_the_same_csvs(self, tmp_path):
+    @pytest.mark.parametrize("which", sorted(FIGURE_CSVS))
+    def test_fresh_process_writes_the_same_csvs(self, which, tmp_path):
         src = str(pathlib.Path(cli.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
-            [sys.executable, "-m", "phigeo.cli", "figure", "--which", "fig2",
+            [sys.executable, "-m", "phigeo.cli", "figure", "--which", which,
              "--out", str(tmp_path / "fresh")],
             env=env, capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
-        assert main(["figure", "--which", "fig2",
+        assert main(["figure", "--which", which,
                      "--out", str(tmp_path / "here")]) == 0
-        for name in ("fig2_naudts.csv", "fig2_amari.csv"):
+        for name in FIGURE_CSVS[which]:
             assert ((tmp_path / "fresh" / name).read_bytes()
                     == (tmp_path / "here" / name).read_bytes())
+
+
+class TestFig1Oracle:
+    """fig1's CSVs against the per-point path: cd_family, then
+    metric_naudts, metric_amari and h_phi at each two-point ProbVec, bit for
+    bit at all 393 x 3 points."""
+
+    def test_csvs_match_per_point_path(self, tmp_path):
+        assert main(["figure", "--which", "fig1", "--out", str(tmp_path)]) == 0
+        fams = [cd_family(1.0, 1.0), cd_family(1.0, 0.5), cd_family(0.5, 0.0)]
+        want = {name: [] for name in FIGURE_CSVS["fig1"]}
+        for i in range(393):
+            pv = 0.01 + 0.0025 * i
+            prob = ProbVec(np.array([pv, 1.0 - pv]))
+            rn, ra, rc = [pv], [pv], [pv]
+            for d in fams:
+                g_n = geo.metric_naudts(d, prob).entries[0, 0]
+                info = h_phi(d, prob) * g_n
+                rn.append(g_n)
+                ra.append(geo.metric_amari(d, prob).entries[0, 0])
+                rc.extend([info, 1.0 / info])
+            for name, row in zip(FIGURE_CSVS["fig1"], (rn, ra, rc)):
+                want[name].append(row)
+        for name, rows in want.items():
+            lines = (tmp_path / name).read_text().splitlines()[1:]
+            got = [[float(v) for v in line.split(",")] for line in lines]
+            assert len(got) == 393
+            for got_row, want_row in zip(got, rows):
+                assert [_bits(v) for v in got_row] == \
+                    [_bits(v) for v in want_row], (name, got_row[0])
 
 
 class TestTable2:

@@ -219,14 +219,15 @@ class TestCdFamily:
 
 
 # One cell per branch and per reachable status code; (1, 0.5) and
-# (0.5, 0) are fig2's c = 1 and d = 0 cells, the last four have x_upper = inf.
+# (0.5, 0) are fig2's c = 1 and d = 0 cells, the four from (0.999, -0.1) on
+# have x_upper = inf, and auto_r's scale overflows at (0.5, -800).
 LATTICE_CELLS = [
     (1.0, 1.0), (1.0, 0.5), (1.0, 2.0), (0.5, 0.0), (0.3, 0.0), (0.7, 0.4),
     (0.8, -0.5), (0.2, -1.0), (-1.2266141427970636, -1.882519231095292),
     (1.0, -0.5), (1.4, 0.0), (1.0, 0.0), (1.25, 0.2), (1.5, 1.0),
     (0.0, 0.5), (0.2025, 0.0025), (-0.5, 0.5), (1.0025, 1.8675),
     (0.9993934153875618, -2.712026657316487), (0.999, -0.1), (0.999, -0.5),
-    (0.9998809914474456, -2.3639757098719074), (0.8, -3.0)]
+    (0.9998809914474456, -2.3639757098719074), (0.8, -3.0), (0.5, -800.0)]
 
 
 class TestCdLattice:
@@ -249,7 +250,7 @@ class TestCdLattice:
             assert status[i] == 0, (ci, di, CD_STATUS[status[i]])
             assert phi[i].tobytes() == dd.phi(x).tobytes(), (ci, di)
             assert phi_prime[i].tobytes() == dd.phi_prime(x).tobytes(), (ci, di)
-        assert codes == {1, 2, 3, 5, 6, 9, 10, 13}
+        assert codes == {1, 2, 3, 4, 6, 7, 10, 11, 14}
 
     def test_status_phrases_name_one_error_each(self):
         for phrase in CD_STATUS[1:]:

@@ -11,6 +11,7 @@ from phigeo.errors import BoundaryError, BranchError, DivergentIntegralError
 from phigeo.families import (cd_family, cd_params, identity, stretched,
                              tsallis)
 from phigeo.specfun import integrate
+from phigeo.verify import _families
 
 
 P2 = ProbVec(np.array([0.5, 0.5]))
@@ -297,6 +298,48 @@ class TestMetrics:
                 lambda a, b: divergence_csiszar(f, a, b), P3).entries
             assert np.max(np.abs(H - fpp1 * fisher)) / np.max(
                 np.abs(fpp1 * fisher)) < 1e-4
+
+
+def _written_out(v):
+    """diag(v_1, ..., v_{n-1}) + v_0 entry by entry, symmetrised as
+    MetricMatrix does."""
+    k = v.size - 1
+    m = np.array([[v[0] + v[i + 1] if i == j else v[0] for j in range(k)]
+                  for i in range(k)])
+    return 0.5 * (m + m.T)
+
+
+class TestMetricFormulas:
+    """metric_naudts and metric_amari bit for bit against their formulas
+    written out here, at random interior p of every verify family."""
+
+    @pytest.mark.parametrize("n", [2, 3, 24])
+    def test_bits(self, n):
+        rng = np.random.default_rng(n)
+        for label, d in _families():
+            for _ in range(3):
+                p = ProbVec(rng.dirichlet(np.full(n, 2.0)))
+                phis, dphis = d.phi(p.probs), d.phi_prime(p.probs)
+                want_n = _written_out(1.0 / phis)
+                want_a = _written_out(dphis / phis) / float(phis.sum())
+                got_n = geo.metric_naudts(d, p).entries
+                got_a = geo.metric_amari(d, p).entries
+                assert got_n.tobytes() == want_n.tobytes(), (label, n)
+                assert got_a.tobytes() == want_a.tobytes(), (label, n)
+
+    def test_batch_axes(self):
+        d = cd_family(0.7, 0.4)
+        rows = np.random.default_rng(3).dirichlet(np.ones(4), (2, 5))
+        phis, dphis = d.phi(rows), d.phi_prime(rows)
+        g_n = geo.naudts_entries(phis)
+        g_a = geo.amari_entries(phis, dphis)
+        assert g_n.shape == g_a.shape == (2, 5, 3, 3)
+        for i, j in np.ndindex(2, 5):
+            p = ProbVec(rows[i, j])
+            assert (g_n[i, j].tobytes()
+                    == geo.metric_naudts(d, p).entries.tobytes())
+            assert (g_a[i, j].tobytes()
+                    == geo.metric_amari(d, p).entries.tobytes())
 
 
 class TestTOperator:

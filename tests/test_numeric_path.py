@@ -183,13 +183,21 @@ class TestLazyAnchors:
                 ref = vs_ref[i] + integrate(lambda y: 1.0 / d._phi(y),
                                             xs_ref[i], x)
             except (ZeroDivisionError, OverflowError):
-                with pytest.raises((ZeroDivisionError, OverflowError)):
+                with pytest.raises(DomainError, match="out of range"):
                     d.log(x)
                 continue
             assert d.log(x) == ref
         filled = table.xs[table.lo:table.hi + 1]
         assert filled == xs_ref
         assert table.vs[table.lo:table.hi + 1] == vs_ref
+
+    def test_below_lowest_fillable_anchor_is_domain_error(self):
+        # once a bare ZeroDivisionError: xi underflows below ~1.3e-3
+        xi = exp_of_log(tsallis(2.0))
+        for x in (1e-3, 1e-6):
+            with pytest.raises(DomainError, match="out of range"):
+                xi.log(x)
+        assert xi.log(2e-3) < -1e211
 
     def test_concurrent_fills_match_eager_table(self):
         d = numeric_chi(tsallis(0.5))  # nothing is filled at construction
@@ -340,7 +348,7 @@ class TestLazyLimits:
                 if x < d.x_upper:
                     try:
                         xi.log(x)
-                    except (ZeroDivisionError, OverflowError):
+                    except DomainError:
                         pass  # below where xi underflows
         got = (xi.log_lower_limit, xi.log_upper_limit)
         assert got == eager_limits(d)
