@@ -21,6 +21,6 @@ from .maxent import (ConfigMatrix, PhiExpFamily, eta_coords,
                      normalize, psi_forms, varphi_dual)
 from .estimation import (CRReport, Estimator, amari_identity_check, cr_report,
                          dp_dtheta, fisher_general, naudts_identity_check)
-from .specfun import integrate, lambert_w, numeric_diff, upper_gamma
+from .specfun import integrate, numeric_diff, upper_gamma
 
 __version__ = "0.1.0"

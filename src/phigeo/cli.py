@@ -215,6 +215,7 @@ def cmd_table2(args) -> int:
     q, eta, x = args.q, args.eta, args.x
     p = _parse_probvec(args.p)
     dq, de = tsallis(q), stretched(eta)
+    phie = de.phi(x)  # before the printed phi, which divides by 0 at x = 1
     lx = math.log(x)
     yq = (x ** (1.0 - q) - 1.0) / (1.0 - q)
     ye = math.copysign(abs(lx) ** (1.0 / eta), lx)  # signed-power log
@@ -223,7 +224,7 @@ def cmd_table2(args) -> int:
         "row": "phi",
         "tsallis": {"printed": x ** q, "library": dq.phi(x)},
         "stretched": {"printed": x * eta * abs(lx) ** (1.0 - 1.0 / eta),
-                      "library": de.phi(x),
+                      "library": phie,
                       "note": "printed log(x)^{1-1/eta} read as |log x| for x<1"},
     }, {
         "row": "log",

@@ -32,10 +32,13 @@ class ScalarOps:
     itself: its attributes are found faster than an instance's on this
     per-call path."""
     log = math.log
+    log1p = math.log1p
     exp = _exp
     copysign = math.copysign
     maximum = max
+    minimum = min
     any = bool
+    all = bool
 
 
 # The scalar-or-array test runs on every scalar log/exp/phi call, inside
@@ -460,7 +463,9 @@ class Deformation:
                 b, log_b = x, L
             before, last = last, step
             step = (y - L) * self._phi(x)
-            if abs(step) > 1e-13 * x and not (
+            if step == 0.0 and L != y:  # phi(x) underflows: not converged
+                step = math.sqrt(a) * math.sqrt(b) - x
+            elif abs(step) > 1e-13 * x and not (
                     a < x + step < b and 2.0 * abs(step) <= abs(before)):
                 step = 0.5 * (a + b) - x
             if abs(step) <= 1e-13 * x:

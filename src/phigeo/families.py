@@ -1,5 +1,6 @@
 """Closed-form deformation constructors: identity (Shannon), Tsallis q,
-stretched eta, and the (c,d)-family with its Lambert-W exponential."""
+stretched eta, and the (c,d)-family, whose generic-branch exponential is a
+Newton solve of its closed log."""
 
 from __future__ import annotations
 
@@ -9,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deform import Deformation, ScalarOps
-from .errors import BranchError, DomainError, RangeError
-from .specfun import integrate, lambert_w, upper_gamma
+from .errors import DomainError
+from .specfun import integrate, upper_gamma
 
 
 def _identity_phi(x, m=ScalarOps):
@@ -125,17 +126,14 @@ def stretched(eta: float) -> Deformation:
 
 @dataclass(frozen=True)
 class CdParams:
-    """(c, d) scaling exponents with scale r and the derived Lambert-W
-    constants A = cdr/(1-(1-c)r) and B = beta*exp(beta), beta = (1-c)r/(1-(1-c)r).
-
-    A and B are None on degenerate branches where 1-(1-c)r-based forms
-    do not apply.
+    """(c, d) scaling exponents with scale r, the branch tag, and the
+    constant A = cdr/(1-(1-c)r) of the printed (c,d) entropy, which is None
+    on the degenerate branches where it does not apply.
     """
     c: float
     d: float
     r: float
     A: float | None
-    B: float | None
     branch: str  # generic | d_zero | c_one | shannon
 
 
@@ -177,52 +175,14 @@ def cd_params(c: float, d: float, r: float | None = None) -> CdParams:
         branch = "c_one"
     else:
         branch = "generic"
-    A = B = None
+    A = None
     if branch == "generic":
         k = 1.0 - (1.0 - c) * r
         if k == 0.0:
             raise DomainError(
                 f"cd_params: 1-(1-c)r = 0 at (c,d,r)=({c},{d},{r})")
         A = c * d * r / k
-        beta = (1.0 - c) * r / k
-        try:
-            B = beta * math.exp(beta)
-        except OverflowError:
-            raise DomainError(f"cd_params: B = beta*exp(beta) overflows at "
-                              f"(c,d,r)=({c},{d},{r})") from None
-    return CdParams(c=c, d=d, r=r, A=A, B=B, branch=branch)
-
-
-def cd_exp_closed(params: CdParams, x, w_branch: str | None = None,
-                  w_b: float | None = None):
-    """Lambert-W closed form of the (c,d)-exponential (generic branch).
-
-    exp(-(d/(1-c)) * [W(B*(1-x/r)^(1/d)) - W(B)]), with the W branch chosen
-    principal for B >= 0 unless given, and W(B) computed unless given.
-    Takes a scalar or an ndarray; an element whose W argument lies off the
-    branch comes out NaN.
-    """
-    if params.branch != "generic":
-        raise BranchError(f"cd_exp_closed: branch {params.branch} has no "
-                          "Lambert-W form")
-    c, d, r, B = params.c, params.d, params.r, params.B
-    base = 1.0 - np.asarray(x, dtype=float) / r
-    if np.any(base < 0.0):
-        raise RangeError(f"cd_exp_closed: argument {x} beyond the range limit {r}")
-    if w_branch is None:
-        w_branch = "principal" if B >= 0.0 else "lower"
-    if w_b is None:
-        w_b = lambert_w(w_branch, B)
-    with np.errstate(all="ignore"):
-        arg = B * base ** (1.0 / d)
-        on_branch = arg >= -1.0 / math.e
-        if w_branch == "lower":
-            on_branch &= arg < 0.0
-        w = np.full(arg.shape, np.nan)
-        if on_branch.any():
-            w[on_branch] = lambert_w(w_branch, arg[on_branch])
-        out = np.exp(-(d / (1.0 - c)) * (w - w_b))
-    return float(out) if out.ndim == 0 else out
+    return CdParams(c=c, d=d, r=r, A=A, branch=branch)
 
 
 # The closed forms of the d = 0, c = 1 and generic branches, each written
@@ -302,12 +262,19 @@ def _generic_forms(c, d, r):
     return a, bracket, log_cd, phi_cd, phi_cd_prime
 
 
+# Newton steps of the generic branch's exp before an element falls back to
+# the monotone inversion of the closed log; 3 to 5 steps reach the
+# tolerance from its seed.
+_EXP_STEPS = 12
+
+
 def cd_family(c: float, d: float, r: float | None = None) -> Deformation:
     """Deformation of the (c,d)-logarithm
     log(x) = r - r x^(c-1) (1 - a log x)^d with a = (1-(1-c)r)/(dr).
 
     The generator is 1/log' from the differentiated closed form.  Degenerate
-    branches (shannon, d = 0, c = 1) get dedicated closed forms.  The
+    branches (shannon, d = 0, c = 1) get dedicated closed forms, the exp
+    included; the generic branch's exp is a Newton solve of the log.  The
     (c,d)-entropies have c in (0, 1]; other (c, d, r) build wherever the
     checks below pass, and raise DomainError otherwise.
     """
@@ -362,33 +329,49 @@ def cd_family(c: float, d: float, r: float | None = None) -> Deformation:
     if u_min > 0.0 and math.isfinite(x_upper):
         log_upper = r - r * x_upper ** (c - 1.0) * u_min ** d
 
-    # Lambert fast path: pick the W branch by round-trip probe, keep the
-    # numeric monotone inversion as fallback.
-    lambert = None  # (branch, W(B)) passing the probe
-    probe = 0.5
-    for branch in (("principal", "lower") if params.B >= 0.0
-                   else ("lower", "principal")):
-        try:
-            w_b = lambert_w(branch, params.B)
-            if abs(cd_exp_closed(params, log_cd(probe), branch, w_b)
-                   - probe) < 1e-6:
-                lambert = (branch, w_b)
-                break
-        except (ValueError, ArithmeticError):
-            pass
+    q = (1.0 - c) / (a * d)
 
-    exp_cd = None
-    if lambert is not None:
-        def exp_cd(y, m=ScalarOps):
-            """W(B) is fixed per family; an element whose W argument
-            leaves the branch, or whose value is not finite, falls back to
-            the numeric inversion of the closed log."""
-            out = cd_exp_closed(params, y, *lambert)
-            if m is ScalarOps:
-                return out if math.isfinite(out) else dd._invert_log(y)
-            for i in np.flatnonzero(~np.isfinite(out)):
-                out.flat[i] = dd._invert_log(float(y.flat[i]))
-            return out
+    def newton_exp(y, m=ScalarOps):
+        """Solve ln(1 - y/r) = (c-1) t + d ln(1 - a t), the log form of the
+        closed log in t = ln x, by Newton steps in s = -a t: with
+        u = 1 + s, the bracket, it reads h(s) = q s + ln(1 + s) - kd = 0,
+        kd = ln(1 - y/r)/d, whose slope is w/u with w = q u + 1.  The seed
+        is the d = 0 root s = kd/q after one fixed-point step, a step may at
+        most halve u, so u stays positive, and the solve stops once
+        Newton's next step, step^2/(2 u |w|), is below 1e-16 max(|s|, |a|),
+        that is 1e-16 max(|t|, 1) in t, the rounding of t itself.  No step
+        evaluates phi, so none stalls where phi underflows.  Returns
+        x = e^t and whether x is in (0, x_upper) with the solve stopped
+        within _EXP_STEPS steps."""
+        kd = m.log1p(-y / r) / d
+        s = m.maximum(kd / q, -0.5)
+        s = m.maximum((kd - m.log1p(s)) / q, -0.5)
+        tol = 2e-16 * m.maximum(abs(s), abs(a))
+        for _ in range(_EXP_STEPS):
+            u = 1.0 + s
+            w = q * u + 1.0
+            step = m.minimum((q * s + m.log1p(s) - kd) * u / w, 0.5 * u)
+            s = s - step
+            done = step * step <= tol * u * abs(w)
+            if m.all(done):
+                break
+        x = m.exp(s / -a)
+        return x, done & (x > 0.0) & (x < x_upper)
+
+    def exp_cd(y, m=ScalarOps):
+        """newton_exp, with the monotone inversion of the closed log for
+        every element it leaves unsolved."""
+        if m is ScalarOps:
+            try:
+                x, ok = newton_exp(y)
+            except (ArithmeticError, ValueError):  # e.g. e^t overflows
+                ok = False
+            return x if ok else dd._invert_log(y)
+        with np.errstate(all="ignore"):
+            x, ok = newton_exp(y, np)
+        for i in np.flatnonzero(~ok):
+            x.flat[i] = dd._invert_log(float(y.flat[i]))
+        return x
 
     dd = Deformation(
         f"cd(c={c:g}, d={d:g}, r={r:g})", params=(c, d, r),
@@ -404,8 +387,9 @@ def cd_family(c: float, d: float, r: float | None = None) -> Deformation:
 # (c,d) lattice
 
 # cd_lattice's status codes: 0 where cd_family(c, d) builds, otherwise one
-# code per DomainError it can raise, in the order of its checks.
-# CD_STATUS[code] is a phrase of that error's message.
+# code per DomainError it can raise, in the order of its checks.  Its exp
+# is a Newton solve that needs no constant of its own, so no code rejects a
+# cell for the exp.  CD_STATUS[code] is a phrase of that error's message.
 CD_STATUS = (
     "builds",
     "1-c+cd = 0",                         # auto_r
@@ -414,7 +398,6 @@ CD_STATUS = (
     "exp(-d)/(1-c) overflows",            # auto_r
     "r must be positive",                 # cd_params
     "1-(1-c)r = 0",                       # cd_params
-    "beta*exp(beta) overflows",           # cd_params
     "d=0 branch needs c < 1",             # cd_family, d = 0
     "c = 1 with d < 0",                   # cd_family, c = 1
     "bracket 1 - a*log(x) nonpositive",   # cd_family, generic
@@ -444,7 +427,7 @@ def _deformation_codes(x_upper, log, phi):
     bad_slope = spot & (np.abs(slope - ref) > 1e-6 * np.maximum(np.abs(ref), 1.0))
     return np.select(
         [bad_phi.any(axis=1), np.abs(log(1.0)[:, 0]) > 1e-10,
-         bad_slope.any(axis=1)], [12, 13, 14], 0)
+         bad_slope.any(axis=1)], [11, 12, 13], 0)
 
 
 def _lattice_status(c, d):
@@ -472,15 +455,13 @@ def _lattice_status(c, d):
     generic = ~(c_one | d_zero | ((c == 1.0) & (d == 1.0)))
     k = 1.0 - (1.0 - c) * r
     reject(6, generic & (k == 0.0))
-    beta = (1.0 - c) * r / k
-    reject(7, generic & np.isfinite(beta) & np.isinf(np.exp(beta)))
 
     # the branch checks of cd_family, and the domain sup x_upper
     x_upper = np.full(c.size, np.inf)
     i = alive(d_zero)
-    status[i[_d_zero_forms(c[i], r[i])[0] <= 0.0]] = 8
+    status[i[_d_zero_forms(c[i], r[i])[0] <= 0.0]] = 7
     i = alive(c_one)
-    status[i[d[i] < 0.0]] = 9
+    status[i[d[i] < 0.0]] = 8
     x_upper[i] = np.exp(_c_one_forms(d[i], r[i])[0])
     i = alive(generic)
     a, bracket, *_ = _generic_forms(c[i], d[i], r[i])
@@ -488,7 +469,7 @@ def _lattice_status(c, d):
     u_min = np.where(u_crit > 0.0, u_crit, 0.0)
     x_upper[i] = np.where(a > 0.0, np.exp((1.0 - u_min) / a), np.inf)
     status[i] = np.select([(bracket(1e-9) <= 0.0) | (bracket(1.0) <= 0.0),
-                           ~(x_upper[i] > 1.0)], [10, 11], 0)
+                           ~(x_upper[i] > 1.0)], [9, 10], 0)
 
     # Deformation's validation of the cells still standing, as columns
     i = alive(d_zero)

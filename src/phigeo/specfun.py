@@ -1,5 +1,5 @@
-"""Numerical kernels: Lambert W (over scipy), upper incomplete gamma,
-adaptive quadrature and finite differences.
+"""Numerical kernels: upper incomplete gamma, adaptive quadrature and
+finite differences.
 
 Everything here is pure and holds no global state.
 """
@@ -26,55 +26,6 @@ FIVE_POINT_STEP = _EPS ** 0.2
 # The tolerance of every integral: absolute below a total of 1, relative
 # above it.
 QUAD_TOL = 1e-13
-
-_INV_E = -1.0 / math.e
-
-
-# ---------------------------------------------------------------------------
-# Lambert W
-
-_W_BRANCHES = {"principal": 0, "lower": -1}
-# Below this distance e*x + 1 from the branch point, scipy's iteration loses
-# accuracy on the lower branch (errors up to 1e-4 at e*x + 1 ~ 1e-9, NaN at
-# -1/e itself); the branch-point series in p = +-sqrt(2(e*x + 1)), truncated
-# after p^5, is exact to rounding there.
-_W_SERIES_BELOW = 1e-6
-
-
-def lambert_w(branch: str, x):
-    """Real Lambert W: solve w*exp(w) = x on the requested branch.
-
-    ``principal`` (k = 0) covers x >= -1/e with w >= -1; ``lower`` (k = -1)
-    covers -1/e <= x < 0 with w <= -1.  Takes a scalar (returns a float) or
-    an ndarray (returns an array of the same shape); any element outside the
-    branch's domain raises DomainError.  Values rounded just below -1/e are
-    clamped onto the branch point.
-    """
-    k = _W_BRANCHES.get(branch)
-    if k is None:
-        raise DomainError(f"unknown branch {branch!r}")
-    xa = np.asarray(x, dtype=float)
-    lo = float(xa.min(initial=math.inf))
-    if math.isnan(lo):
-        raise DomainError("lambert_w: x is NaN")
-    # Tolerate rounding just below the branch point.
-    if lo < _INV_E:
-        if lo <= _INV_E - 1e-14 * abs(_INV_E) - 1e-300:
-            raise DomainError(f"lambert_w: x={lo} below branch point -1/e")
-        xa = np.maximum(xa, _INV_E)
-    if k == -1 and xa.max(initial=-math.inf) >= 0.0:
-        raise DomainError("lambert_w: lower branch requires x < 0")
-    # Imported here: scipy.special is most of the package's import time,
-    # and only the generic (c,d) branch needs W.
-    from scipy.special import lambertw
-    w = lambertw(xa, k).real
-    if math.e * lo + 1.0 < _W_SERIES_BELOW:
-        t = np.maximum(math.e * xa + 1.0, 0.0)
-        p = np.sqrt(2.0 * t) * (1.0 if k == 0 else -1.0)
-        series = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (
-            11.0 / 72.0 + p * (-43.0 / 540.0 + p * 769.0 / 17280.0))))
-        w = np.where(t < _W_SERIES_BELOW, series, w)
-    return float(w) if w.ndim == 0 else w
 
 
 # ---------------------------------------------------------------------------

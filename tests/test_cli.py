@@ -539,6 +539,15 @@ class TestTable2:
         assert math.isnan(en["tsallis"]["printed"])
         assert "diverges" in en["tsallis"]["note"]
 
+    @pytest.mark.parametrize("eta, what", [("0.5", "phi"), ("2", "phi'")])
+    def test_stretched_at_one_is_a_domain_error(self, capsys, eta, what):
+        # the printed phi divides by 0 at x = 1 for eta < 1 (once a bare
+        # ZeroDivisionError, exit 1); the library's DomainError comes first
+        code = main(["table2", "--eta", eta, "--x", "1.0"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert f"{what} blows up at x = 1" in err
+
     def test_off_default_point_matches(self, capsys):
         _, out = run(capsys, "table2", "--q", "0.5", "--eta", "3.0",
                      "--x", "0.7", "--p", "0.4,0.6")

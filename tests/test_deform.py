@@ -302,12 +302,21 @@ class TestArrayForms:
         with pytest.raises(DomainError):
             d.log(np.array([0.5, 0.0]))
 
-    def test_cd_lambert_fallback_element(self):
-        # At y = -1e308 the W argument underflows to -0.0, off the lower
-        # branch; that element alone takes the numeric inversion.
+    def test_cd_fallback_element(self, monkeypatch):
+        # At y = -1e308 the Newton solve's x = e^t underflows to 0, outside
+        # (0, x_upper); that element alone takes the numeric inversion.
         d = cd_family(0.8, -0.5)
+        inverted = []
+        invert_log = Deformation._invert_log
+
+        def recorded(self, y):
+            inverted.append(y)
+            return invert_log(self, y)
+
+        monkeypatch.setattr(Deformation, "_invert_log", recorded)
         ys = np.array([-1e308, -1.0, 0.0, 1.5])
         got = d.exp(ys)
+        assert inverted == [-1e308]
         assert got[0] == d._invert_log(-1e308) == 0.0
         assert exp_close(d, got[1:], ys[1:])
         assert np.allclose(d.log(got[1:]), ys[1:], rtol=0.0, atol=1e-10)

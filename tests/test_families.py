@@ -1,14 +1,16 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
+from lambert_oracle import cd_exp_closed
 from phigeo.deform import Deformation, chi_dual, exp_of_log, validation_grid
 from phigeo.errors import DomainError, PhigeoError
-from phigeo.families import (CD_STATUS, CdParams, auto_r, cd_exp_closed,
-                             cd_family, cd_lattice, cd_params, identity,
-                             stretched, tsallis)
+from phigeo.families import (CD_STATUS, CdParams, auto_r, cd_family,
+                             cd_lattice, cd_params, identity, stretched,
+                             tsallis)
 from phigeo.specfun import integrate
 from phigeo.verify import _families
 
@@ -96,8 +98,6 @@ class TestCdParams:
         p = cd_params(0.7, 0.4)
         k = 1.0 - (1.0 - p.c) * p.r
         assert abs(p.A - p.c * p.d * p.r / k) < 1e-14
-        beta = (1.0 - p.c) * p.r / k
-        assert abs(p.B - beta * math.exp(beta)) < 1e-14
         assert p.branch == "generic"
 
     def test_branch_tags(self):
@@ -163,7 +163,7 @@ class TestCdFamily:
 
     @pytest.mark.parametrize("c,d", [(0.7, 0.4), (0.8, -0.5)])
     def test_roundtrip_needs_no_inversion(self, c, d, monkeypatch):
-        # the Lambert closed form covers test_roundtrip's grid on its own
+        # the Newton solve covers test_roundtrip's grid without falling back
         def no_inversion(self, y):
             raise AssertionError(f"numeric inversion at y={y}")
 
@@ -179,12 +179,14 @@ class TestCdFamily:
         with pytest.raises(DomainError):
             cd_family(1.2, 0.5)
 
-    def test_overflowing_lambert_argument_rejected(self):
-        # beta * exp(beta) overflows for small c and d just above 0
-        with pytest.raises(DomainError, match="overflows"):
-            cd_params(0.2025, 0.0025)
-        with pytest.raises(DomainError, match="overflows"):
-            cd_family(0.2025, 0.0025)
+    def test_small_c_and_d_cell_builds(self):
+        # B = beta * exp(beta), the constant of the Lambert-W form of the
+        # exp, overflows for small c and d just above 0, and such cells were
+        # once rejected; the Newton solve of the exp needs no such constant
+        dd = cd_family(0.2025, 0.0025)
+        for x in validation_grid(dd.x_upper):
+            x = float(x)
+            assert abs(dd.exp(dd.log(x)) - x) <= 1e-12 * x
 
     @pytest.mark.parametrize("c,d", [(1.0025, 1.8675), (1.0025, 1.8475)])
     def test_domain_sup_not_above_one_rejected(self, c, d):
@@ -219,8 +221,9 @@ class TestCdFamily:
 
 
 # One cell per branch and per reachable status code; (1, 0.5) and
-# (0.5, 0) are fig2's c = 1 and d = 0 cells, the four from (0.999, -0.1) on
-# have x_upper = inf, and auto_r's scale overflows at (0.5, -800).
+# (0.5, 0) are fig2's c = 1 and d = 0 cells, (0.2025, 0.0025) builds though
+# the Lambert form's constant overflows there, the four from (0.999, -0.1)
+# on have x_upper = inf, and auto_r's scale overflows at (0.5, -800).
 LATTICE_CELLS = [
     (1.0, 1.0), (1.0, 0.5), (1.0, 2.0), (0.5, 0.0), (0.3, 0.0), (0.7, 0.4),
     (0.8, -0.5), (0.2, -1.0), (-1.2266141427970636, -1.882519231095292),
@@ -250,7 +253,7 @@ class TestCdLattice:
             assert status[i] == 0, (ci, di, CD_STATUS[status[i]])
             assert phi[i].tobytes() == dd.phi(x).tobytes(), (ci, di)
             assert phi_prime[i].tobytes() == dd.phi_prime(x).tobytes(), (ci, di)
-        assert codes == {1, 2, 3, 4, 6, 7, 10, 11, 14}
+        assert codes == {1, 2, 3, 4, 6, 9, 10, 13}
 
     def test_status_phrases_name_one_error_each(self):
         for phrase in CD_STATUS[1:]:
@@ -265,7 +268,16 @@ class TestCdLattice:
             assert got[1100:1300].tobytes() == part.tobytes()
 
 
+# The five cells the Lambert oracle checks: three on its principal branch
+# and two on its lower one.
+ORACLE_CELLS = [(0.7, 0.4), (0.8, 0.5), (0.8, -0.5), (0.6, 1.2),
+                (0.999, -0.1)]
+
+
 class TestCdExpClosed:
+    """The Lambert-W oracle itself, then cd_family's exp against its own
+    log and against the oracle."""
+
     def test_zero_maps_to_one(self):
         p = cd_params(0.5, 2.0)
         assert abs(cd_exp_closed(p, 0.0) - 1.0) < 1e-12
@@ -275,6 +287,43 @@ class TestCdExpClosed:
         p = cd_params(*dd.params)
         for x in np.linspace(0.01, 1.0, 12):
             assert abs(cd_exp_closed(p, dd.log(x)) - x) < 1e-8
+
+    @pytest.mark.parametrize("c,d", ORACLE_CELLS)
+    def test_round_trip_on_newton_points(self, c, d):
+        # TestNewtonInversion's points below x_upper, scalar and array
+        dd = cd_family(c, d)
+        xs = np.geomspace(1e-9, 1e2, 67)
+        xs = xs[xs < dd.x_upper]
+        tol = 1e-12 * np.maximum(xs, 1.0)
+        assert np.all(np.abs(dd.exp(dd.log(xs)) - xs) <= tol)
+        for x, t in zip(xs.tolist(), tol.tolist()):
+            assert abs(dd.exp(dd.log(x)) - x) <= t, x
+
+    @pytest.mark.parametrize("c,d", ORACLE_CELLS)
+    def test_exp_matches_lambert(self, c, d):
+        dd = cd_family(c, d)
+        hi = min(5.0, 0.9 * dd.x_upper)
+        ys = dd.log(np.geomspace(1e-9, hi, 60))
+        want = cd_exp_closed(cd_params(c, d), ys)
+        assert np.all(np.abs(dd.exp(ys) - want) <= 1e-12 * want)
+        for y, w in zip(ys.tolist(), want.tolist()):
+            assert abs(dd.exp(y) - w) <= 1e-12 * w, y
+
+    def test_deep_tail_against_mpmath(self):
+        # phi underflows to 0 near this x; the Lambert form, evaluated by
+        # mpmath, gives 3.9043238791e-271
+        c, d = 0.8, -0.5
+        dd = cd_family(c, d)
+        y = -1e54
+        with mpmath.workdps(40):
+            r = mpmath.mpf(dd.params[2])
+            beta = (1 - c) * r / (1 - (1 - c) * r)
+            B = beta * mpmath.exp(beta)
+            w = mpmath.lambertw(B * (1 - y / r) ** (1 / mpmath.mpf(d)), -1)
+            want = mpmath.exp(-(d / (1 - mpmath.mpf(c)))
+                              * (w - mpmath.lambertw(B, -1)))
+        assert abs(dd.exp(y) / float(want.real) - 1.0) < 1e-12
+        assert abs(dd.exp(np.array([y]))[0] / float(want.real) - 1.0) < 1e-12
 
 
 class TestQuadratureConsistency:

@@ -459,6 +459,15 @@ class TestNewtonInversion:
             assert integrate_calls[0] - before <= 12
             assert abs(back - x) <= 1e-12 * max(x, 1.0)
 
+    def test_phi_underflow_is_not_convergence(self):
+        # phi(x) underflows to 0 near x = 4e-271 on cd(0.8,-0.5), so the
+        # step (y - L) phi(x) is 0 while L != y; the inversion once stopped
+        # there at 4.4254e-271.  The root, by mpmath on the log form
+        # ln(1 - y/r) = (c-1) ln x + d ln(1 - a ln x) at 50 digits, is
+        # 3.90432387910188477e-271.
+        d = cd_family(0.8, -0.5)
+        assert close(d._invert_log(-1e54), 3.90432387910188477e-271, 1e-12)
+
     def test_far_anchor_does_not_cancel(self):
         # xi = exp(1 - 1/x): log_xi(1e-2) ~ -1e39, so an inversion that
         # carried log_xi up from that anchor would lose every digit.  Below
@@ -692,7 +701,7 @@ SWEEP_CASES = {
     "exp_of_log(tsallis(2))": lambda: exp_of_log(tsallis(2.0)),
     "chi_dual(cd(0.7,0.4))": lambda: chi_dual(cd_family(0.7, 0.4)),
     "numeric sqrt": sqrt_generator,
-    # its Lambert fallback inverts the closed log
+    # its Newton solve hands the deep tail to the inversion of the closed log
     "cd(0.8,-0.5)": lambda: cd_family(0.8, -0.5),
 }
 

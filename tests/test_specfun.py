@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 
 import phigeo
+from lambert_oracle import lambert_w
 from phigeo.errors import DomainError
-from phigeo.specfun import integrate, lambert_w, numeric_diff, upper_gamma
+from phigeo.specfun import integrate, numeric_diff, upper_gamma
 
 
 class TestLambertW:
+    """The W of the Lambert-W oracle for cd_family's exp, against mpmath."""
+
     def test_principal_at_zero(self):
         assert lambert_w("principal", 0.0) == 0.0
 
@@ -83,22 +86,22 @@ class TestLambertW:
                 assert abs(lambert_w(branch, x) - ref) < tol, branch
 
 
-    @pytest.mark.parametrize("build, loaded", [
-        ("tsallis(0.5)", False),
-        ("cd_family(0.7, 0.4)", True),  # the generic branch fixes W(B)
-    ])
-    def test_scipy_special_loaded_by_first_call(self, build, loaded):
+class TestImportGuard:
+    def test_no_library_path_loads_scipy_special(self):
+        # every family of the property suites builds, and a generic (c,d)
+        # exp runs on an array, without scipy.special
         src = os.path.dirname(os.path.dirname(os.path.abspath(phigeo.__file__)))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + [p for p in [env.get("PYTHONPATH")] if p])
         out = subprocess.run(
             [sys.executable, "-c",
-             "import sys, phigeo, phigeo.cli; "
-             f"phigeo.{build}; "
+             "import sys, numpy, phigeo, phigeo.cli, phigeo.verify; "
+             "phigeo.verify._families(); "
+             "phigeo.cd_family(0.7, 0.4).exp(numpy.linspace(-2.0, 1.0, 7)); "
              "print('scipy.special' in sys.modules)"],
             env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == str(loaded)
+        assert out.stdout.strip() == "False"
 
 
 class TestUpperGamma:
