@@ -14,7 +14,8 @@ from phigeo.specfun import integrate, numeric_diff, upper_gamma
 
 
 class TestLambertW:
-    """The W of the Lambert-W oracle for cd_family's exp, against mpmath."""
+    """The W of the Lambert-W oracle for cd_family's exp, against mpmath,
+    and the library's freedom from scipy.special now that it needs no W."""
 
     def test_principal_at_zero(self):
         assert lambert_w("principal", 0.0) == 0.0
@@ -85,20 +86,23 @@ class TestLambertW:
                 ref = float(mpmath.lambertw(mpmath.mpf(x), k).real)
                 assert abs(lambert_w(branch, x) - ref) < tol, branch
 
-
-class TestImportGuard:
-    def test_no_library_path_loads_scipy_special(self):
-        # every family of the property suites builds, and a generic (c,d)
-        # exp runs on an array, without scipy.special
+    @pytest.mark.parametrize("build, run_exp", [
+        ("tsallis(0.5)", False),
+        ("cd_family(0.7, 0.4)", True),  # the generic branch once fixed W(B)
+        ("verify._families()", False),  # every family of the property suites
+    ])
+    def test_scipy_special_loaded_by_first_call(self, build, run_exp):
+        # the library inverts no log by Lambert's W any more: neither building
+        # a family nor running its exp on an array loads scipy.special
         src = os.path.dirname(os.path.dirname(os.path.abspath(phigeo.__file__)))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        call = ".exp(numpy.linspace(-2.0, 1.0, 7))" if run_exp else ""
         out = subprocess.run(
             [sys.executable, "-c",
              "import sys, numpy, phigeo, phigeo.cli, phigeo.verify; "
-             "phigeo.verify._families(); "
-             "phigeo.cd_family(0.7, 0.4).exp(numpy.linspace(-2.0, 1.0, 7)); "
+             f"phigeo.{build}{call}; "
              "print('scipy.special' in sys.modules)"],
             env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
